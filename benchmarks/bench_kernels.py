@@ -1,34 +1,34 @@
 #!/usr/bin/env python3
-"""Timing comparison of the compiled and fallback event loops.
+"""Timing of the Fourier-space chain event loop.
 
-Runs the same canonical-chain trajectory through the numba kernel and the
-vectorized numpy fallback (MAGNON_GK_NUMBA=0 path) and reports wall time
-and events/second.  The two paths implement the same algorithm; agreement
-is asserted to 1e-10 before timing.
+Replays a short canonical-chain trajectory through the fast path and the
+generic simulator and asserts that the current series and the final state
+agree to 1e-10; then times the fast path on the full horizon and reports
+wall time and events/second.  For the benchmark with per-layer timings and
+correctness gates, use perfbench/run.py.
 """
 
 import argparse
+import statistics
 import time
 
 import numpy as np
 
-from magnon_gk import _kernels as kn
 from magnon_gk import dynamics as dy
-from magnon_gk.lattice import LatticeSpec
+from magnon_gk.lattice import LatticeSpec, total_current
 from magnon_gk.rng import stream
 from magnon_gk.sampling import sample_canonical
 
 
-def run(n: int, t_end: float, dt_out: float, seed: int, use_numba: bool):
-    spec = LatticeSpec(d=1, dstar=2, n=n, b=1.0, gamma=1.0,
-                       coords="deformation")
-    s0 = sample_canonical(spec, 1.0, rng=stream(seed, "init"))
-    t0 = time.perf_counter()
-    _, js, _ = dy.simulate_current_series(s0, t_end, dt_out, seed,
-                                          use_numba=use_numba)
-    wall = time.perf_counter() - t0
-    n_events = len(dy.draw_events(spec, t_end, seed)[0])
-    return js, wall, n_events
+def check_against_generic(s0, t_end, dt_out, seed):
+    ts, js, fin = dy.simulate_current_series(s0, t_end, dt_out, seed)
+    traj = dy.simulate(s0, t_end, dt_out, seed, track="none")
+    ref = np.array([total_current(traj.state(k)) for k in range(len(ts))])
+    last = traj.state(len(ts) - 1)
+    err = max(np.abs(js - ref).max(),
+              np.abs(fin.flatten() - last.flatten()).max())
+    assert err < 1e-10, f"fast path deviates from simulate by {err:.2e}"
+    return err
 
 
 def main():
@@ -37,27 +37,27 @@ def main():
     ap.add_argument("--t-end", type=float, default=16.0)
     ap.add_argument("--dt-out", type=float, default=0.25)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--replay-t", type=float, default=1.0,
+                    help="horizon of the check against generic simulate")
+    ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    if kn.HAVE_NUMBA:
-        run(16, 1.0, 0.5, 0, True)  # compile outside the timed region
-    js_np, wall_np, nev = run(args.n, args.t_end, args.dt_out, args.seed,
-                              False)
-    rows = [("numpy fallback", wall_np, nev / wall_np)]
-    if kn.HAVE_NUMBA:
-        js_nb, wall_nb, _ = run(args.n, args.t_end, args.dt_out, args.seed,
-                                True)
-        assert np.abs(js_nb - js_np).max() < 1e-10, "kernel paths disagree"
-        rows.append(("numba kernel", wall_nb, nev / wall_nb))
-    else:
-        print("numba not available (or disabled via MAGNON_GK_NUMBA=0)")
+    spec = LatticeSpec(d=1, dstar=2, n=args.n, b=1.0, gamma=1.0,
+                       coords="deformation")
+    s0 = sample_canonical(spec, 1.0, rng=stream(args.seed, "init"))
+    err = check_against_generic(s0, args.replay_t, args.dt_out, args.seed)
+    nev = len(dy.draw_events(spec, args.t_end, args.seed)[0])
+    walls = []
+    for _ in range(args.repeat):
+        t0 = time.perf_counter()
+        dy.simulate_current_series(s0, args.t_end, args.dt_out, args.seed)
+        walls.append(time.perf_counter() - t0)
+    wall = statistics.median(walls)
 
-    print(f"chain N={args.n}, t_end={args.t_end}, {nev} events")
-    print(f"{'path':<16}{'wall [s]':>10}{'events/s':>14}")
-    for name, wall, eps in rows:
-        print(f"{name:<16}{wall:>10.3f}{eps:>14.0f}")
-    if len(rows) == 2:
-        print(f"speedup: {rows[0][1] / rows[1][1]:.1f}x")
+    print(f"chain N={args.n}, t_end={args.t_end}, {nev} events; "
+          f"agrees with simulate to {err:.1e} over t={args.replay_t}")
+    print(f"{'wall [s]':>10}{'events/s':>14}   (median of {args.repeat})")
+    print(f"{wall:>10.3f}{nev / wall:>14.0f}")
 
 
 if __name__ == "__main__":

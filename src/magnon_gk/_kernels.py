@@ -1,66 +1,67 @@
 """Hot loop for long chain trajectories (d=1, dstar=2).
 
-The state lives in Fourier space in circularly polarized form
-(a = f1 + i f2 with field term -iB, b = f1 - i f2 with +iB), so deterministic
-evolution is an O(N) per-mode two-by-two update and an exchange event is an
-O(N) rank-one update of the velocity modes -- no FFT inside the loop.  The
-loop records the instantaneous total energy current on a fixed output grid.
-
-A numba-compiled version is used when available; set MAGNON_GK_NUMBA=0 to
-force the pure numpy fallback (same algorithm, vectorized over modes).
+The state lives in Fourier space in circularly polarized form, a = f1 + i f2
+(field term -iB).  For real fields the other polarization is its mirror
+image, b(k) = conj(a(-k)), so only a is evolved.  Per mode, (aF, aW) obeys a
+two-by-two linear flow whose roots s± = -iB/2 ± iΩ are imaginary; the loop
+stores the two eigen-amplitudes in the frame rotating with e^{-iBt/2}, so
+advancing by dt multiplies them by e^{±iΩdt}: one complex exp per mode.  An
+exchange event is an O(N) rank-one update of the velocity modes, with no FFT
+inside the loop.  The loop records the instantaneous total energy current on
+a fixed output grid.
 """
 
 from __future__ import annotations
 
-import os
+import cmath
 
 import numpy as np
 
-_WANT_NUMBA = os.environ.get("MAGNON_GK_NUMBA", "1") != "0"
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _WANT_NUMBA = False
-
-HAVE_NUMBA = _WANT_NUMBA
+# Read by the benchmark's environment record; there is no compiled loop.
+HAVE_NUMBA = False
 
 
 def mode_tables(spec):
-    """Per-mode constants for the polarized two-by-two evolution.
+    """Per-mode constants of the eigen-amplitude evolution.
 
-    Returns dict with complex arrays g, h, roots (sAp, sAm, sBp, sBm),
-    inverse root gaps, degenerate-mode mask, the site<->mode phase matrix
-    and the output weight array for the total current.
+    Returns a dict of arrays: ``iom`` (iΩ per mode), ``V`` and ``Vinv``
+    (shape (2, 2, N): columns of V are the eigenvectors (F, W) of the two
+    roots, W-component 1 for k != 0), ``shear`` (g on the modes with a
+    double root, else 0), the bond-difference table ``dphase[x, k] =
+    e^{2πi(x+1)k/N} - e^{2πixk/N}``, the output weights ``wgt`` of the
+    total current and the field ``b``.
     """
     if spec.d != 1 or spec.dstar != 2 or spec.charge == "alternate":
         raise ValueError("fast kernel requires d=1, dstar=2, "
                          "translation-invariant charge")
     n = spec.n
-    phi = 2.0 * np.pi * np.arange(n) / n
+    k = np.arange(n)
+    phi = 2.0 * np.pi * k / n
+    lam = 4.0 * np.sin(0.5 * phi) ** 2   # -g h in both coordinate systems
     if spec.coords == "position":
         g = np.ones(n, dtype=complex)
-        h = -(2.0 - 2.0 * np.cos(phi)).astype(complex)
         wgt = -0.5j * np.sin(phi) / n
     else:
         g = np.exp(1j * phi) - 1.0
-        h = 1.0 - np.exp(-1j * phi)
         wgt = -(1.0 + np.exp(-1j * phi)) / (4.0 * n)
     b = spec.b if spec.charge == "uniform" else 0.0
-
-    def roots(m):
-        disc = np.sqrt(m * m + 4.0 * g * h + 0j)
-        deg = np.abs(disc) < 1e-13
-        safe = np.where(deg, 1.0, disc)
-        return 0.5 * (m + safe), 0.5 * (m - safe), 1.0 / safe, deg
-
-    sAp, sAm, invA, degA = roots(-1j * b)
-    sBp, sBm, invB, degB = roots(1j * b)
-    x = np.arange(n)
-    phase = np.exp(2j * np.pi * np.outer(x, x) / n)  # phase[x, xi]
-    return {"g": g, "h": h, "sAp": sAp, "sAm": sAm, "invA": invA,
-            "sBp": sBp, "sBm": sBm, "invB": invB,
-            "deg": degA | degB, "phase": phase, "wgt": wgt}
+    om = np.hypot(0.5 * b, np.sqrt(lam))  # exactly |B|/2 at k=0
+    V = np.empty((2, 2, n), dtype=complex)
+    for c, s in enumerate((1j * (om - 0.5 * b), -1j * (om + 0.5 * b))):
+        # eigenvector (g/s, 1); a zero root (k=0 only, where h=0) has (1, 0)
+        zero = s == 0
+        V[0, c] = np.where(zero, 1.0, g / np.where(zero, 1.0, s))
+        V[1, c] = ~zero
+    # B=0, k=0: double root 0, kept as the identity basis (see run_loop)
+    deg = om == 0
+    V[:, :, deg] = np.eye(2)[:, :, None]
+    det = V[0, 0] * V[1, 1] - V[0, 1] * V[1, 0]
+    Vinv = np.array([[V[1, 1], -V[0, 1]], [-V[1, 0], V[0, 0]]]) / det
+    dphase = np.exp((2j * np.pi / n) * ((k[:, None] * k) % n))
+    dphase *= dphase[1] - 1.0   # e^{2πixk/N} (e^{2πik/N} - 1)
+    return {"iom": 1j * om, "V": V, "Vinv": Vinv,
+            "shear": np.where(deg, g, 0.0), "dphase": dphase, "wgt": wgt,
+            "b": np.float64(b)}
 
 
 def state_to_polarized(spec, state):
@@ -79,186 +80,74 @@ def polarized_to_state(spec, aF, aW, bF, bW, time=0.0):
     return PhaseState(spec, pos, vel, time)
 
 
-# ---------------------------------------------------------------------------
-# numpy fallback
-
-
-def _loop_numpy(aF, aW, bF, bW, ev_times, triples, t_end, dt_out, n_out,
-                g, h, sAp, sAm, invA, sBp, sBm, invB, deg, phase, wgt, out):
-    n = aF.shape[0]
-    cphase = np.conj(phase)
-
-    def adv(dt):
-        nonlocal aF, aW, bF, bW
-        for which in (0, 1):
-            sp, sm, inv = (sAp, sAm, invA) if which == 0 else (sBp, sBm, invB)
-            F, W = (aF, aW) if which == 0 else (bF, bW)
-            ep = np.exp(sp * dt)
-            em = np.exp(sm * dt)
-            Fn = (F * (sp * em - sm * ep) + g * W * (ep - em)) * inv
-            Wn = (F * h * (ep - em) + W * (sp * ep - sm * em)) * inv
-            Fn = np.where(deg, F + dt * g * W, Fn)
-            Wn = np.where(deg, W + dt * h * F, Wn)
-            if which == 0:
-                aF, aW = Fn, Wn
-            else:
-                bF, bW = Fn, Wn
-
-    t = 0.0
-    o = 0
-    i = 0
-    nev = ev_times.shape[0]
-    while True:
-        t_ev = ev_times[i] if i < nev else t_end + 1.0
-        t_next = t_ev if t_ev < t_end else t_end
-        while o < n_out and o * dt_out <= t_next:
-            adv(o * dt_out - t)
-            t = o * dt_out
-            out[o] = np.sum(wgt * (aF * np.conj(aW)
-                                   + bF * np.conj(bW))).real
-            o += 1
-        if i >= nev or t_ev > t_end:
-            break
-        adv(t_ev - t)
-        t = t_ev
-        trip = triples[i]
-        j = trip // n
-        x = trip % n
-        y = (x + 1) % n
-        if j == 0:
-            vhat = 0.5 * (aW + bW)
-        else:
-            vhat = (aW - bW) / 2j
-        vx = np.sum(phase[x] * vhat).real / n
-        vy = np.sum(phase[y] * vhat).real / n
-        delta = vy - vx
-        u = delta * (cphase[x] - cphase[y])
-        if j == 0:
-            aW = aW + u
-            bW = bW + u
-        else:
-            aW = aW + 1j * u
-            bW = bW - 1j * u
-        i += 1
-    return aF, aW, bF, bW
-
-
-# ---------------------------------------------------------------------------
-# numba version (same algorithm, explicit loops)
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _loop_numba(aF, aW, bF, bW, ev_times, triples, t_end, dt_out, n_out,
-                    g, h, sAp, sAm, invA, sBp, sBm, invB, deg, phase, wgt,
-                    out):  # pragma: no cover - exercised via driver
-        n = aF.shape[0]
-        t = 0.0
-        o = 0
-        i = 0
-        nev = ev_times.shape[0]
-        while True:
-            if i < nev:
-                t_ev = ev_times[i]
-            else:
-                t_ev = t_end + 1.0
-            t_next = t_ev if t_ev < t_end else t_end
-            while o < n_out and o * dt_out <= t_next:
-                dt = o * dt_out - t
-                for k in range(n):
-                    if deg[k]:
-                        aFn = aF[k] + dt * g[k] * aW[k]
-                        aWn = aW[k] + dt * h[k] * aF[k]
-                        bFn = bF[k] + dt * g[k] * bW[k]
-                        bWn = bW[k] + dt * h[k] * bF[k]
-                    else:
-                        ep = np.exp(sAp[k] * dt)
-                        em = np.exp(sAm[k] * dt)
-                        aFn = (aF[k] * (sAp[k] * em - sAm[k] * ep)
-                               + g[k] * aW[k] * (ep - em)) * invA[k]
-                        aWn = (aF[k] * h[k] * (ep - em)
-                               + aW[k] * (sAp[k] * ep - sAm[k] * em)) * invA[k]
-                        ep = np.exp(sBp[k] * dt)
-                        em = np.exp(sBm[k] * dt)
-                        bFn = (bF[k] * (sBp[k] * em - sBm[k] * ep)
-                               + g[k] * bW[k] * (ep - em)) * invB[k]
-                        bWn = (bF[k] * h[k] * (ep - em)
-                               + bW[k] * (sBp[k] * ep - sBm[k] * em)) * invB[k]
-                    aF[k], aW[k], bF[k], bW[k] = aFn, aWn, bFn, bWn
-                t = o * dt_out
-                acc = 0.0
-                for k in range(n):
-                    acc += (wgt[k] * (aF[k] * np.conj(aW[k])
-                                      + bF[k] * np.conj(bW[k]))).real
-                out[o] = acc
-                o += 1
-            if i >= nev or t_ev > t_end:
-                break
-            dt = t_ev - t
-            for k in range(n):
-                if deg[k]:
-                    aFn = aF[k] + dt * g[k] * aW[k]
-                    aWn = aW[k] + dt * h[k] * aF[k]
-                    bFn = bF[k] + dt * g[k] * bW[k]
-                    bWn = bW[k] + dt * h[k] * bF[k]
-                else:
-                    ep = np.exp(sAp[k] * dt)
-                    em = np.exp(sAm[k] * dt)
-                    aFn = (aF[k] * (sAp[k] * em - sAm[k] * ep)
-                           + g[k] * aW[k] * (ep - em)) * invA[k]
-                    aWn = (aF[k] * h[k] * (ep - em)
-                           + aW[k] * (sAp[k] * ep - sAm[k] * em)) * invA[k]
-                    ep = np.exp(sBp[k] * dt)
-                    em = np.exp(sBm[k] * dt)
-                    bFn = (bF[k] * (sBp[k] * em - sBm[k] * ep)
-                           + g[k] * bW[k] * (ep - em)) * invB[k]
-                    bWn = (bF[k] * h[k] * (ep - em)
-                           + bW[k] * (sBp[k] * ep - sBm[k] * em)) * invB[k]
-                aF[k], aW[k], bF[k], bW[k] = aFn, aWn, bFn, bWn
-            t = t_ev
-            trip = triples[i]
-            j = trip // n
-            x = trip % n
-            y = (x + 1) % n
-            vx = 0.0
-            vy = 0.0
-            for k in range(n):
-                if j == 0:
-                    vh = 0.5 * (aW[k] + bW[k])
-                else:
-                    vh = (aW[k] - bW[k]) / 2j
-                vx += (phase[x, k] * vh).real
-                vy += (phase[y, k] * vh).real
-            vx /= n
-            vy /= n
-            delta = vy - vx
-            for k in range(n):
-                u = delta * (np.conj(phase[x, k]) - np.conj(phase[y, k]))
-                if j == 0:
-                    aW[k] += u
-                    bW[k] += u
-                else:
-                    aW[k] += 1j * u
-                    bW[k] -= 1j * u
-            i += 1
+def _mirror(z):
+    """k -> conj(z(-k)): the b polarization of a real field from its a."""
+    return np.conj(np.roll(z[::-1], 1))
 
 
 def run_loop(aF, aW, bF, bW, ev_times, triples, t_end, dt_out, n_out,
-             tables, use_numba=None):
-    """Dispatch to the compiled or fallback loop; mutates nothing, returns
-    (final polarized state tuple, current series)."""
+             tables):
+    """Evolve the polarized chain state through the exchange events up to
+    the last output time (n_out - 1) * dt_out <= t_end; mutates nothing.
+
+    Only (aF, aW) is read: bF and bW must be its mirror images (real
+    fields) and are rebuilt from the final a.  Returns (final polarized
+    state tuple, current series on the grid o * dt_out).
+    """
+    V, iom, D, wgt = tables["V"], tables["iom"], tables["dphase"], \
+        tables["wgt"]
+    kap = tables["Vinv"][:, 1]          # amplitude kick per unit W kick
+    half_b = -0.5j * float(tables["b"])
+    n = aF.shape[0]
+    amp = (tables["Vinv"] * np.stack([aF, aW])).sum(axis=1)
+    fac = np.empty_like(amp)
+    kick = np.empty_like(amp)
     out = np.empty(n_out)
-    args = (ev_times, triples, float(t_end), float(dt_out), int(n_out),
-            tables["g"], tables["h"], tables["sAp"], tables["sAm"],
-            tables["invA"], tables["sBp"], tables["sBm"], tables["invB"],
-            tables["deg"], tables["phase"], tables["wgt"], out)
-    if use_numba is None:
-        use_numba = HAVE_NUMBA
-    if use_numba and not HAVE_NUMBA:
-        raise RuntimeError("numba requested but not available")
-    if use_numba:
-        a1, w1, b1, w2 = (aF.copy(), aW.copy(), bF.copy(), bW.copy())
-        _loop_numba(a1, w1, b1, w2, *args)
-        return (a1, w1, b1, w2), out
-    final = _loop_numpy(aF.copy(), aW.copy(), bF.copy(), bW.copy(), *args)
-    return final, out
+    t_stop = (n_out - 1) * dt_out
+    t = 0.0
+
+    def advance(dt):
+        np.multiply(iom, dt, out=fac[0])
+        np.exp(fac[0], out=fac[0])
+        np.conjugate(fac[0], out=fac[1])
+        np.multiply(amp, fac, out=amp)
+
+    def record(o):
+        F, W = (V * amp).sum(axis=1)
+        out[o] = 2.0 * np.vdot(W, wgt * F).real
+
+    o = 0
+    for t_ev, trip in zip(ev_times.tolist(), triples.tolist()):
+        if t_ev > t_stop:
+            break
+        while o * dt_out <= t_ev:
+            advance(o * dt_out - t)
+            t = o * dt_out
+            record(o)
+            o += 1
+        advance(t_ev - t)
+        t = t_ev
+        # Exchange of velocity component j across the bond (x, x+1).  With
+        # v0 + i v1 = ifft(W), c = (v0 + i v1)(x+1) - (v0 + i v1)(x); the
+        # swap moves delta = Re c (or i Im c) from site x+1 to site x, so W
+        # gains -delta * conj(dphase[x]) = delta * dphase[N-1-x].  W is
+        # amp[0] + amp[1] except at k=0, where dphase vanishes.
+        j, x = divmod(trip, n)
+        rot = cmath.exp(half_b * t)     # physical W = rot * stored W
+        w0, w1 = (amp @ D[x]).tolist()
+        c = rot * (w0 + w1) / n
+        coef = (c.real if j == 0 else 1j * c.imag) / rot
+        np.multiply(kap, D[n - 1 - x], out=kick)
+        kick *= coef
+        amp += kick
+    while o < n_out:
+        advance(o * dt_out - t)
+        t = o * dt_out
+        record(o)
+        o += 1
+    F, W = cmath.exp(half_b * t) * (V * amp).sum(axis=1)
+    # A double-root mode (k=0 at B=0) sat still in the identity basis:
+    # exchanges never touch it and it carries no current when g != 0, so
+    # the shear F += t g W of its Jordan flow is applied once, here.
+    F += t * tables["shear"] * W
+    return (F, W, _mirror(F), _mirror(W)), out

@@ -17,17 +17,22 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .lattice import LatticeSpec, SpecError
-
 
 def _apply_thread_cap():
+    """BLAS and OpenMP read their pool sizes when numpy loads, so this runs
+    before the imports below."""
     cap = os.environ.get("MAGNON_GK_THREADS")
     if cap:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMBA_NUM_THREADS"):
+                    "MKL_NUM_THREADS"):
             os.environ.setdefault(var, cap)
+
+
+_apply_thread_cap()
+
+import numpy as np  # noqa: E402
+
+from .lattice import LatticeSpec, SpecError  # noqa: E402
 
 
 def _fail(code: str, message: str, context: dict | None = None) -> int:
@@ -36,17 +41,15 @@ def _fail(code: str, message: str, context: dict | None = None) -> int:
     return 1
 
 
-def _load_config(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    """Config file values overridden by explicitly passed flags."""
-    cfg = {}
+def _load_config(args: argparse.Namespace, flag_defaults: dict) -> dict:
+    """Flag defaults, overridden by the config file, overridden by the flags
+    given on the command line (the only ones the namespace holds)."""
+    skip = ("config", "func", "command")
+    cfg = {k: v for k, v in flag_defaults.items() if k not in skip}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg = json.load(fh)
-    for key, val in vars(args).items():
-        if key in ("config", "func", "command"):
-            continue
-        if key not in cfg or val != parser_defaults.get(key):
-            cfg[key] = val
+            cfg.update(json.load(fh))
+    cfg.update((k, v) for k, v in vars(args).items() if k not in skip)
     return cfg
 
 
@@ -298,18 +301,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=1)
     sp.add_argument("--out", default="samples.csv")
     sp.set_defaults(func=cmd_sample)
+
+    # Flags left off the command line stay out of the namespace, so that a
+    # flag given at its default value still overrides --config.
+    p.flag_defaults = {}
+    for name, sp in sub.choices.items():
+        p.flag_defaults[name] = {a.dest: a.default for a in sp._actions
+                                 if a.default is not argparse.SUPPRESS}
+        for a in sp._actions:
+            a.default = argparse.SUPPRESS
     return p
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults = {a.dest: a.default
-                for g in parser._subparsers._group_actions
-                for a in g.choices[args.command]._actions}
     try:
-        cfg = _load_config(args, defaults)
+        cfg = _load_config(args, parser.flag_defaults[args.command])
         return args.func(cfg)
     except (SpecError, OSError, ValueError, KeyError) as exc:
         return _fail(type(exc).__name__, str(exc),

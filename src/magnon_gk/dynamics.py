@@ -469,14 +469,13 @@ def continuity_residual(traj: Trajectory) -> float:
 
 
 def simulate_current_series(s0: PhaseState, t_end: float, dt_out: float,
-                            seed: int, index: int = 0,
-                            use_numba: bool | None = None):
+                            seed: int, index: int = 0):
     """Fast chain trajectory recording only the total current j^1(t).
 
     Same event statistics as :func:`simulate` (identical RNG consumption),
     but the state stays in Fourier space throughout, so cost per event is
     O(N) with no transforms.  Requires d=1, dstar=2 and a zero or uniform
-    charge.  Returns (times, current series, final PhaseState).
+    charge.  Returns (times, current series, PhaseState at times[-1]).
     """
     from . import _kernels as kn
     spec = s0.spec
@@ -489,8 +488,7 @@ def simulate_current_series(s0: PhaseState, t_end: float, dt_out: float,
     n_out = int(np.floor(t_end / dt_out + 1e-9)) + 1
     aF, aW, bF, bW = kn.state_to_polarized(spec, s0)
     (aF, aW, bF, bW), series = kn.run_loop(
-        aF, aW, bF, bW, ev_times, triples, t_end, dt_out, n_out, tables,
-        use_numba=use_numba)
+        aF, aW, bF, bW, ev_times, triples, t_end, dt_out, n_out, tables)
     final = kn.polarized_to_state(spec, aF, aW, bF, bW,
                                   time=(n_out - 1) * dt_out)
     return np.arange(n_out) * dt_out, series, final

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +115,39 @@ def test_config_file_with_flag_override(tmp_path, monkeypatch):
     with open(tmp_path / "override.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert max(int(r["site"]) for r in rows) == 8  # n=9 from the config file
+    # a flag passed at its parser default still overrides the file
+    code = run(["sample", "--config", "cfg.json", "--n", "8", "--out",
+                "default_flag.csv"])
+    assert code == 0
+    with open(tmp_path / "default_flag.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert max(int(r["site"]) for r in rows) == 7
+
+
+def test_thread_cap_is_set_before_numpy_loads():
+    # record the pool variables at the moment numpy is first imported
+    probe = """
+import importlib.abc, json, os, sys
+seen = {}
+class Spy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update({v: os.environ.get(v) for v in VARS})
+sys.meta_path.insert(0, Spy())
+import magnon_gk.cli
+print(json.dumps(seen))
+"""
+    pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in pools}
+    env["MAGNON_GK_THREADS"] = "3"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    res = subprocess.run(
+        [sys.executable, "-c", probe.replace("VARS", repr(pools))],
+        env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(res.stdout)
+    assert seen == {v: "3" for v in pools}
 
 
 def test_invalid_model_reports_error(tmp_path, monkeypatch, capsys):
