@@ -19,6 +19,9 @@ from magnon_gk.lattice import LatticeSpec, total_current
 from magnon_gk.rng import stream
 from magnon_gk.sampling import sample_canonical
 
+REPLAY_T = 1.0   # horizon of the check against generic simulate
+REPEAT = 3       # timed runs; the median is reported
+
 
 def check_against_generic(s0, t_end, dt_out, seed):
     ts, js, fin = dy.simulate_current_series(s0, t_end, dt_out, seed)
@@ -37,26 +40,23 @@ def main():
     ap.add_argument("--t-end", type=float, default=16.0)
     ap.add_argument("--dt-out", type=float, default=0.25)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--replay-t", type=float, default=1.0,
-                    help="horizon of the check against generic simulate")
-    ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
     spec = LatticeSpec(d=1, dstar=2, n=args.n, b=1.0, gamma=1.0,
                        coords="deformation")
     s0 = sample_canonical(spec, 1.0, rng=stream(args.seed, "init"))
-    err = check_against_generic(s0, args.replay_t, args.dt_out, args.seed)
+    err = check_against_generic(s0, REPLAY_T, args.dt_out, args.seed)
     nev = len(dy.draw_events(spec, args.t_end, args.seed)[0])
     walls = []
-    for _ in range(args.repeat):
+    for _ in range(REPEAT):
         t0 = time.perf_counter()
         dy.simulate_current_series(s0, args.t_end, args.dt_out, args.seed)
         walls.append(time.perf_counter() - t0)
     wall = statistics.median(walls)
 
     print(f"chain N={args.n}, t_end={args.t_end}, {nev} events; "
-          f"agrees with simulate to {err:.1e} over t={args.replay_t}")
-    print(f"{'wall [s]':>10}{'events/s':>14}   (median of {args.repeat})")
+          f"agrees with simulate to {err:.1e} over t={REPLAY_T}")
+    print(f"{'wall [s]':>10}{'events/s':>14}   (median of {REPEAT})")
     print(f"{wall:>10.3f}{nev / wall:>14.0f}")
 
 

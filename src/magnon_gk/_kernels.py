@@ -91,8 +91,10 @@ def run_loop(aF, aW, bF, bW, ev_times, triples, t_end, dt_out, n_out,
     the last output time (n_out - 1) * dt_out <= t_end; mutates nothing.
 
     Only (aF, aW) is read: bF and bW must be its mirror images (real
-    fields) and are rebuilt from the final a.  Returns (final polarized
-    state tuple, current series on the grid o * dt_out).
+    fields) and are rebuilt from the final a.  ``t_end`` is not read; it
+    stays in the signature because perfbench/tracer.py reads the arguments
+    by position.  Returns (final polarized state tuple, current series on
+    the grid o * dt_out).
     """
     V, iom, D, wgt = tables["V"], tables["iom"], tables["dphase"], \
         tables["wgt"]

@@ -261,28 +261,21 @@ def test_mean_current_vanishes_under_canonical_start():
 
 
 @pytest.mark.parametrize("spec,key", [(UNIFORM, 3), (DEFORM, 4),
-                                      (FREE, 5), (NEUTRAL, 6)])
+                                      (FREE, 5), (NEUTRAL, 6), (DEFORM, 8)])
 def test_fast_path_matches_generic(spec, key):
+    # key 8: dt_out does not divide t_end, so events after the last output
+    # time (2.8) must not reach the returned state
+    t_end, dt_out = (3.0, 0.7) if key == 8 else (4.0, 0.5)
     s0 = (micro_state(spec) if spec.coords == "position"
           else sample_canonical(spec, 1.0, rng=stream(key, "init")))
     if spec is FREE:
         # microcanonical states have no k=0 component; a drifting centre of
         # mass makes the Jordan mode move
         s0.vel += np.array([[0.3], [-0.2]])
-    ts, js, fin = dy.simulate_current_series(s0, 4.0, 0.5, seed=key)
-    traj = dy.simulate(s0, 4.0, 0.5, seed=key, track="none")
+    ts, js, fin = dy.simulate_current_series(s0, t_end, dt_out, seed=key)
+    traj = dy.simulate(s0, t_end, dt_out, seed=key, track="none")
     ref = np.array([total_current(traj.state(k)) for k in range(len(ts))])
     assert np.abs(js - ref).max() < 1e-10
-    last = traj.state(len(ts) - 1)
-    assert np.abs(fin.flatten() - last.flatten()).max() < 1e-10
-
-
-def test_fast_path_final_state_is_at_last_output():
-    # dt_out does not divide t_end: events after the last output time
-    # (2.8) must not reach the returned state
-    s0 = sample_canonical(DEFORM, 1.0, rng=stream(8, "init"))
-    ts, _, fin = dy.simulate_current_series(s0, 3.0, 0.7, seed=8)
-    traj = dy.simulate(s0, 3.0, 0.7, seed=8, track="none")
     assert fin.time == pytest.approx(ts[-1])
     last = traj.state(len(ts) - 1)
     assert np.abs(fin.flatten() - last.flatten()).max() < 1e-10
