@@ -164,7 +164,6 @@ def cmd_closedform(cfg: dict) -> int:
     kw = dict(kind=kind, d=d, dstar=dstar, b=b, gamma=gamma_)
     if kind == "canonical":
         kw["variant"] = variant
-        kw["beta"] = float(cfg.get("beta", 1.0))
     vals = np.array([kappa_gk_closed(t, **kw) for t in times])
     out = cfg.get("out", "kappa_closed.csv")
     _write_series_csv(out, times, vals, np.zeros_like(vals),
@@ -232,9 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Charged-oscillator lattice: simulation and analysis")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, seeded=True):
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--seed", type=int, default=0)
+        if seeded:
+            sp.add_argument("--seed", type=int, default=0)
 
     def model(sp):
         sp.add_argument("--d", type=int, default=1)
@@ -257,12 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-traj", dest="n_traj", type=int, default=1)
     sp.add_argument("--track", choices=("none", "total", "bonds"),
                     default="total")
-    sp.add_argument("--backend", choices=("fourier", "dense", "rk4"))
+    sp.add_argument("--backend", choices=("fourier", "dense"))
     sp.add_argument("--out", default="trajectories")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("correlate", help="correlations from trajectories")
-    common(sp)
+    common(sp, seeded=False)
     sp.add_argument("--input", default="trajectories")
     sp.add_argument("--direction", type=int, default=0)
     sp.add_argument("--estimator", choices=("stationary", "initial"),
@@ -272,15 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_correlate)
 
     sp = sub.add_parser("closedform", help="closed-form series + slope fit")
-    common(sp)
+    common(sp, seeded=False)
     sp.add_argument("--kind", choices=("micro", "canonical"), default="micro")
     sp.add_argument("--variant", choices=("0", "i", "ii"), default="i")
     sp.add_argument("--d", type=int, default=1)
     sp.add_argument("--dstar", type=int, default=2)
     sp.add_argument("--b", type=float, default=1.0)
     sp.add_argument("--gamma", type=float, default=1.0)
-    sp.add_argument("--e", type=float, default=1.0)
-    sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--tmin", type=float, default=1e4)
     sp.add_argument("--tmax", type=float, default=1e7)
     sp.add_argument("--points", type=int, default=25)

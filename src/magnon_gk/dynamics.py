@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LatticeSpec, PhaseState, SpecError, currents_all,
-                      neighbor_tables, site_energies, site_index)
+from .lattice import (LatticeSpec, PhaseState, SpecError, neighbor_tables,
+                      site_energies, site_index)
 from .observables import drift_matrix
 from .rng import stream
 
@@ -96,53 +96,28 @@ class FourierBlock:
         self.coupled = (spec.dstar >= 2 and spec.b != 0.0
                         and spec.charge == "uniform")
         self._axes = tuple(range(1, spec.d + 1))
-        self._shape = (spec.dstar,) + (spec.n,) * spec.d
+        self._grid = (spec.n,) * spec.d
 
     def _fft(self, arr):
-        return np.fft.fftn(arr.reshape(self._shape),
-                           axes=self._axes).reshape(self.spec.dstar, -1)
+        """FFT over the lattice axes of an (..., nsites) array."""
+        return np.fft.fftn(arr.reshape((-1,) + self._grid),
+                           axes=self._axes).reshape(arr.shape)
 
     def _ifft(self, arr):
-        return np.fft.ifftn(arr.reshape(self._shape),
-                            axes=self._axes).real.reshape(self.spec.dstar, -1)
+        return np.fft.ifftn(arr.reshape((-1,) + self._grid),
+                            axes=self._axes).real.reshape(arr.shape)
 
-    def propagate(self, state: PhaseState, dt: float) -> PhaseState:
-        if dt < 0:
-            raise SpecError("dt must be >= 0")
-        if dt == 0.0:
-            return state.copy()
+    def _evolve_modes(self, state: PhaseState, dts):
+        """Fourier amplitudes (F, W), each (k, dstar, nsites), at the
+        horizons of the column ``dts`` of shape (k, 1)."""
         F = self._fft(state.pos)
         W = self._fft(state.vel)
-        g, h = self.g, self.h
-        b = self.spec.b
-        if self.coupled:
-            # circular polarizations a = f1 + i f2 (m = -iB), b = f1 - i f2
-            aF, aW = F[0] + 1j * F[1], W[0] + 1j * W[1]
-            bF, bW = F[0] - 1j * F[1], W[0] - 1j * W[1]
-            aF, aW = _pair_propagate(aF, aW, g, h, -1j * b, dt)
-            bF, bW = _pair_propagate(bF, bW, g, h, 1j * b, dt)
-            F[0], W[0] = 0.5 * (aF + bF), 0.5 * (aW + bW)
-            F[1], W[1] = (aF - bF) / 2j, (aW - bW) / 2j
-            lo = 2
-        else:
-            lo = 0
-        for j in range(lo, self.spec.dstar):
-            F[j], W[j] = _pair_propagate(F[j], W[j], g, h, 0.0 + 0j, dt)
-        return PhaseState(self.spec, self._ifft(F), self._ifft(W),
-                          state.time + dt)
-
-    def propagate_batch(self, state: PhaseState, dts):
-        """States at several horizons from one anchor: (pos, vel) arrays
-        of shape (k, dstar, nsites)."""
-        dts = np.asarray(dts, dtype=float)[:, None]
-        k = dts.shape[0]
-        ds, ns = self.spec.dstar, self.spec.nsites
-        F = self._fft(state.pos)
-        W = self._fft(state.vel)
-        Fo = np.empty((k, ds, ns), dtype=complex)
-        Wo = np.empty((k, ds, ns), dtype=complex)
+        shape = (dts.shape[0],) + F.shape
+        Fo = np.empty(shape, dtype=complex)
+        Wo = np.empty(shape, dtype=complex)
         g, h, b = self.g, self.h, self.spec.b
         if self.coupled:
+            # circular polarizations a = f1 + i f2 (m = -iB), b = f1 - i f2
             aF, aW = _pair_propagate(F[0] + 1j * F[1], W[0] + 1j * W[1],
                                      g, h, -1j * b, dts)
             bF, bW = _pair_propagate(F[0] - 1j * F[1], W[0] - 1j * W[1],
@@ -152,14 +127,26 @@ class FourierBlock:
             lo = 2
         else:
             lo = 0
-        for j in range(lo, ds):
+        for j in range(lo, self.spec.dstar):
             Fo[:, j], Wo[:, j] = _pair_propagate(F[j], W[j], g, h,
                                                  0.0 + 0j, dts)
-        shape = (k * ds,) + (self.spec.n,) * self.spec.d
-        axes = tuple(range(1, self.spec.d + 1))
-        pos = np.fft.ifftn(Fo.reshape(shape), axes=axes).real
-        vel = np.fft.ifftn(Wo.reshape(shape), axes=axes).real
-        return pos.reshape(k, ds, ns), vel.reshape(k, ds, ns)
+        return Fo, Wo
+
+    def propagate(self, state: PhaseState, dt: float) -> PhaseState:
+        if dt < 0:
+            raise SpecError("dt must be >= 0")
+        if dt == 0.0:
+            return state.copy()
+        Fo, Wo = self._evolve_modes(state, np.array([[dt]], dtype=float))
+        return PhaseState(self.spec, self._ifft(Fo[0]), self._ifft(Wo[0]),
+                          state.time + dt)
+
+    def propagate_batch(self, state: PhaseState, dts):
+        """States at several horizons from one anchor: (pos, vel) arrays
+        of shape (k, dstar, nsites)."""
+        Fo, Wo = self._evolve_modes(
+            state, np.asarray(dts, dtype=float)[:, None])
+        return self._ifft(Fo), self._ifft(Wo)
 
 
 class DenseEigen:
@@ -176,7 +163,7 @@ class DenseEigen:
         if resid > 1e-8:
             raise BackendError(
                 "drift matrix is not cleanly diagonalizable here "
-                f"(reconstruction error {resid:.2e}); use fourier or rk4")
+                f"(reconstruction error {resid:.2e})")
 
     def propagate(self, state: PhaseState, dt: float) -> PhaseState:
         if dt < 0:
@@ -198,45 +185,6 @@ class DenseEigen:
                 Zr[:, half:].reshape(-1, ds, ns))
 
 
-class RK4:
-    """Fixed-step classical Runge-Kutta fallback (not exact)."""
-
-    kind = "rk4"
-
-    def __init__(self, spec: LatticeSpec, step: float = 1e-3):
-        if step <= 0:
-            raise SpecError("step must be > 0")
-        self.spec = spec
-        self.M = drift_matrix(spec)
-        self.step = step
-
-    def propagate(self, state: PhaseState, dt: float) -> PhaseState:
-        if dt < 0:
-            raise SpecError("dt must be >= 0")
-        if dt == 0.0:
-            return state.copy()
-        z = state.flatten()
-        nsub = max(1, int(np.ceil(dt / self.step)))
-        hh = dt / nsub
-        M = self.M
-        for _ in range(nsub):
-            k1 = M @ z
-            k2 = M @ (z + 0.5 * hh * k1)
-            k3 = M @ (z + 0.5 * hh * k2)
-            k4 = M @ (z + hh * k3)
-            z = z + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return PhaseState.from_flat(self.spec, z, state.time + dt)
-
-    def propagate_batch(self, state: PhaseState, dts):
-        ds, ns = self.spec.dstar, self.spec.nsites
-        pos = np.empty((len(dts), ds, ns))
-        vel = np.empty((len(dts), ds, ns))
-        for k, dt in enumerate(dts):
-            out = self.propagate(state, float(dt))
-            pos[k], vel[k] = out.pos, out.vel
-        return pos, vel
-
-
 def make_backend(spec: LatticeSpec, kind: str | None = None):
     if kind is None:
         kind = "fourier" if spec.charge != "alternate" else "dense"
@@ -244,8 +192,6 @@ def make_backend(spec: LatticeSpec, kind: str | None = None):
         return FourierBlock(spec)
     if kind == "dense":
         return DenseEigen(spec)
-    if kind == "rk4":
-        return RK4(spec)
     raise BackendError(f"unknown backend kind {kind!r}")
 
 

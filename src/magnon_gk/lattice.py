@@ -13,7 +13,7 @@ State arrays have shape ``(dstar, n**d)``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np

@@ -12,7 +12,7 @@ Dense kernels only; intended for desk-scale certification work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

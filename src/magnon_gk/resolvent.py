@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .lattice import LatticeSpec, SpecError, neighbor_tables
+from .lattice import LatticeSpec, SpecError
 from .observables import (
     GeneratorSpec, QuadraticObservable, apply_drift, apply_swap_sum,
     harmonic_drift_matrix, residual_norm, total_current_observable,
@@ -234,8 +234,6 @@ def position_residual(spec: LatticeSpec, lam: float) -> float:
         res = lam * u - lu - rhs
         return (float(np.linalg.norm(res.kernel))
                 + float(np.linalg.norm(res.linear)) + abs(res.constant))
-    gen = GeneratorSpec("micro", spec.b if spec.charge == "uniform" else 0.0,
-                        spec.gamma)
     if spec.charge == "zero":
         return residual_norm(lam, u, rhs, GeneratorSpec.for_spec(shape))
     uni = replace(spec, coords="position", charge="uniform")

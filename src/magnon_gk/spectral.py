@@ -11,12 +11,14 @@ from analytically time-integrated terms, and log-log exponent fitting.
 Conventions: omega2 = 4 sum_a sin^2(pi theta^a); the uniformly charged
 integrand carries the weight sin^2(2 pi theta^1)/omega2 (equal to
 cos^2(pi theta) in one dimension), the canonical ones cos^2(pi theta).
+Canonical variants "0" and "i" are therefore the uniform-charge forms at
+d=1, dstar=2 with E = 2/beta (variant "0" at B=0), and are computed by them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,17 +236,14 @@ def laplace_canonical(lam: float, variant: str, b: float, gamma: float,
         raise ValueError("lam must be > 0")
     if variant not in ("0", "i", "ii"):
         raise ValueError("variant must be '0', 'i' or 'ii'")
+    if variant != "ii":
+        return laplace_micro(lam, 1, 2, b if variant == "i" else 0.0, gamma,
+                             2.0 / beta, n, tol)
 
     def val(nn):
         def f(pts):
             th = pts[:, 0]
-            om2 = _omega2_arr(th)
-            w = np.cos(np.pi * th) ** 2
-            if variant == "0":
-                return w / (lam + gamma * om2)
-            if variant == "i":
-                return w * _pq_ratio(lam, om2, b, gamma)
-            return w * _rs_ratio(lam, th, b, gamma)
+            return np.cos(np.pi * th) ** 2 * _rs_ratio(lam, th, b, gamma)
         return _integrate_sym(f, 1, nn) * 2.0 / beta ** 2
 
     v, _ = _refine(val, n, tol, "laplace_canonical")
@@ -286,6 +285,30 @@ def _damping_cutoff(gamma: float, t: float, scale: float = 0.5,
     return min(scale, np.arcsin(np.sqrt(s2)) / np.pi)
 
 
+def _beta1_integral(kernel, t: float, d: int, b: float, gamma: float,
+                    n: int) -> float:
+    """Integral over [0,1]^d of weight * beta1 * Re kernel(-gw + i a1).
+
+    This is the oscillatory cos(a1 t) family (B != 0).  In d=1 the nodes sit
+    on panels that follow the phase a1*t up to the damping cutoff of
+    exp(-gw t); in d > 1 the graded tensor grid is used.
+    """
+    def f(pts):
+        om2 = _omega2_arr(pts)
+        u = _uniform_arrays(om2, b, gamma)
+        return (_weight_micro(pts, om2) * u["b1"]
+                * kernel(-u["gw"] + 1j * u["a1"]).real)
+
+    if d > 1:
+        return _integrate_sym(f, d, n)
+
+    def phase(th):
+        return _uniform_arrays(_omega2_arr(th), b, gamma)["a1"]
+
+    nodes, wq = _panel_nodes(phase, t, 0.0, _damping_cutoff(gamma, t))
+    return 2.0 * float(f(nodes) @ wq)
+
+
 # ---------------------------------------------------------------------------
 # inverse Laplace components (uniform charge)
 
@@ -297,50 +320,21 @@ def c_components(t: float, d: int, b: float, gamma: float,
     c1: oscillatory term (weight * beta1 * exp(-gw t) cos(a1 t));
     c2/c3: the exp(-(gw +- a2) t) pair with weight * beta2;
     c4: the uncoupled-component term (weight * exp(-gw t)).
+    At B=0 the coupled plane reduces to p/q = 1/(lam + gw), so c1 = 0 and
+    c2 = c3 = c4/2.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-
-    def smooth(pts):
-        om2 = _omega2_arr(pts)
-        w = _weight_micro(pts, om2)
-        u = _uniform_arrays(om2, b, gamma)
-        ew = np.exp(-u["gw"] * t)
-        c2 = w * u["b2"] * np.exp(-u["z2"] * t)
-        c3 = w * u["b2"] * np.exp(-u["z3"] * t)
-        c4 = w * ew
-        return c2, c3, c4
-
     pts, wts = _tensor_grid(d, n, 3)
-    c2v, c3v, c4v = smooth(pts)
-    c2 = float(c2v @ wts)
-    c3 = float(c3v @ wts)
-    c4 = float(c4v @ wts)
-
+    om2 = _omega2_arr(pts)
+    w = _weight_micro(pts, om2)
+    c4 = float((w * np.exp(-gamma * om2 * t)) @ wts)
     if b == 0.0:
-        return 0.0, c2, c3, c4
-
-    def c1_integrand(th):
-        om2 = _omega2_arr(th)
-        w = _weight_micro(th, om2)
-        u = _uniform_arrays(om2, b, gamma)
-        return w * u["b1"] * np.exp(-u["gw"] * t) * np.cos(u["a1"] * t)
-
-    if d == 1:
-        hi = _damping_cutoff(gamma, t)
-
-        def phase(th):
-            return _uniform_arrays(_omega2_arr(th), b, gamma)["a1"]
-
-        nodes, wq = _panel_nodes(phase, t, 0.0, hi)
-        c1 = 2.0 * float(c1_integrand(nodes) @ wq)
-    else:
-        def f(pts2):
-            om2 = _omega2_arr(pts2)
-            w = _weight_micro(pts2, om2)
-            u = _uniform_arrays(om2, b, gamma)
-            return w * u["b1"] * np.exp(-u["gw"] * t) * np.cos(u["a1"] * t)
-        c1 = _integrate_sym(f, d, n)
+        return 0.0, 0.5 * c4, 0.5 * c4, c4
+    u = _uniform_arrays(om2, b, gamma)
+    c2 = float((w * u["b2"] * np.exp(-u["z2"] * t)) @ wts)
+    c3 = float((w * u["b2"] * np.exp(-u["z3"] * t)) @ wts)
+    c1 = _beta1_integral(lambda z: np.exp(z * t), t, d, b, gamma, n)
     return c1, c2, c3, c4
 
 
@@ -389,74 +383,34 @@ def _tw_tail(z, T: float):
 
 def _kappa_micro(T: float, d: int, dstar: int, b: float, gamma: float,
                  n: int = 500) -> float:
+    if b == 0.0:
+        # every component decays as exp(-gw t) (see c_components)
+        def free(pts):
+            om2 = _omega2_arr(pts)
+            return _weight_micro(pts, om2) * triangular_window_integral(
+                -gamma * om2, T).real
+        return _integrate_sym(free, d, n) / dstar + gamma / (2.0 * dstar)
+
     def smooth_part(pts):
         om2 = _omega2_arr(pts)
         w = _weight_micro(pts, om2)
         u = _uniform_arrays(om2, b, gamma)
         tw2 = triangular_window_integral(-u["z2"], T).real
         tw3 = triangular_window_integral(-u["z3"], T).real
-        out = 2.0 * w * u["b2"] * (tw2 + tw3)
-        if b != 0.0:
-            z1 = -u["gw"] + 1j * u["a1"]
-            if d == 1:
-                tw1 = _tw_smooth(z1, T).real  # e^{zT} piece added separately
-            else:
-                tw1 = triangular_window_integral(z1, T).real
-            out = out + 2.0 * w * u["b1"] * tw1
+        # in d=1 the e^{z1 T} piece of the beta1 term is added on panels
+        window = _tw_smooth if d == 1 else triangular_window_integral
+        tw1 = window(-u["gw"] + 1j * u["a1"], T).real
+        out = 2.0 * w * (u["b2"] * (tw2 + tw3) + u["b1"] * tw1)
         if dstar > 2:
             out = out + (dstar - 2) * w * triangular_window_integral(
                 -u["gw"], T).real
         return out / dstar ** 2
 
-    total = _integrate_sym(smooth_part, d, n)
-
-    if b != 0.0 and d == 1:
-        hi = _damping_cutoff(gamma, T)
-
-        def phase(th):
-            return _uniform_arrays(_omega2_arr(th), b, gamma)["a1"]
-
-        nodes, wq = _panel_nodes(phase, T, 0.0, hi)
-        om2 = _omega2_arr(nodes)
-        w = _weight_micro(nodes, om2)
-        u = _uniform_arrays(om2, b, gamma)
-        z1 = -u["gw"] + 1j * u["a1"]
-        tail = (2.0 / dstar ** 2) * w * u["b1"] * _tw_tail(z1, T).real
-        total += 2.0 * float(tail @ wq)
-
-    return total + gamma / (2.0 * dstar)
-
-
-def _kappa_canonical_smooth(T: float, variant: str, b: float,
-                            gamma: float, n: int = 500) -> float:
-    """Variants 0 and i: (1/2) integral of cos^2 * windowed terms + gamma/4."""
-    def part(pts):
-        th = pts[:, 0]
-        om2 = _omega2_arr(th)
-        w = np.cos(np.pi * th) ** 2
-        u = _uniform_arrays(om2, b, gamma)
-        if variant == "0" or b == 0.0:
-            return w * triangular_window_integral(-u["gw"], T).real
-        tw2 = triangular_window_integral(-u["z2"], T).real
-        tw3 = triangular_window_integral(-u["z3"], T).real
-        z1 = -u["gw"] + 1j * u["a1"]
-        tw1 = _tw_smooth(z1, T).real
-        return w * (u["b1"] * tw1 + u["b2"] * (tw2 + tw3))
-
-    total = _integrate_sym(part, 1, n)
-    if variant == "i" and b != 0.0:
-        hi = _damping_cutoff(gamma, T)
-
-        def phase(th):
-            return _uniform_arrays(_omega2_arr(th), b, gamma)["a1"]
-
-        nodes, wq = _panel_nodes(phase, T, 0.0, hi)
-        om2 = _omega2_arr(nodes)
-        w = np.cos(np.pi * nodes) ** 2
-        u = _uniform_arrays(om2, b, gamma)
-        z1 = -u["gw"] + 1j * u["a1"]
-        total += 2.0 * float((w * u["b1"] * _tw_tail(z1, T).real) @ wq)
-    return 0.5 * total + gamma / 4.0
+    total = _integrate_sym(smooth_part, d, n) + gamma / (2.0 * dstar)
+    if d == 1:
+        total += (2.0 / dstar ** 2) * _beta1_integral(
+            lambda z: _tw_tail(z, T), T, d, b, gamma, n)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +537,8 @@ def _quarter_grid(n: int, power: int = 3):
 
 
 def _alt_time_integrand(theta, t, b, gamma):
-    """exp(2 gamma t) * L^{-1}[R/S](t) pointwise in theta (longdouble)."""
+    """L^{-1}[R/S](t) pointwise in theta (longdouble), its e^{-2 gamma t}
+    included (R/S is a function of lam + 2 gamma)."""
     roots, s, rU1, rU2, _ = _alt_partial_fractions(theta, b, gamma)
     tt = _LD(t)
     total = np.zeros(np.shape(s[0]), dtype=_CLD)
@@ -591,8 +546,7 @@ def _alt_time_integrand(theta, t, b, gamma):
         # exponents s_i - 2 gamma <= 0 up to roundoff; clip to avoid blowup
         ep = np.exp(np.minimum((s[i] - 2 * _LD(gamma)).real, 0)
                     * tt + 1j * s[i].imag * tt)
-        em = np.exp(-(s[i] + 2 * _LD(gamma)) * tt) * np.exp(2 * _LD(gamma) * tt)
-        # em written as exp(-(s_i)t): recompute directly to avoid overflow
+        # exp(-(s_i + 2 gamma) t), real exponent clipped like ep's
         em = np.exp(np.minimum((-s[i] - 2 * _LD(gamma)).real, 0) * tt
                     - 1j * s[i].imag * tt)
         cosh_t = 0.5 * (ep + em)
@@ -606,17 +560,11 @@ def d_closed(t: float, variant: str, b: float, gamma: float, beta: float,
     """Closed-form canonical current autocorrelation at time t."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if variant == "0" or (variant in ("i", "ii") and b == 0.0):
-        def f(pts):
-            th = pts[:, 0]
-            return np.cos(np.pi * th) ** 2 * np.exp(
-                -gamma * _omega2_arr(th) * t)
-        return _integrate_sym(f, 1, n) * 2.0 / beta ** 2
-    if variant == "i":
-        c1, c2, c3, _ = c_components(t, 1, b, gamma, n)
-        return (c1 + c2 + c3) * 2.0 / beta ** 2
-    if variant != "ii":
+    if variant not in ("0", "i", "ii"):
         raise ValueError("variant must be '0', 'i' or 'ii'")
+    if variant != "ii" or b == 0.0:
+        return c_infty(t, 1, 2, b if variant != "0" else 0.0, gamma,
+                       2.0 / beta, n)
     if gamma > 1.0:
         # complex-root regime: experimental, dense uniform grid
         th = (np.arange(4 * n) + 0.5) / (4 * n) * 0.25
@@ -682,14 +630,14 @@ def _kappa_canonical_alt(T: float, b: float, gamma: float,
 
 def kappa_gk_closed(t: float, *, kind: str = "micro", d: int = 1,
                     dstar: int = 2, b: float = 1.0, gamma: float = 1.0,
-                    variant: str = "i", beta: float = 1.0,
-                    n: int = 500) -> float:
+                    variant: str = "i", n: int = 500) -> float:
     """Finite-time Green-Kubo integral assembled from closed forms.
 
     kind="micro": (1/E^2) int_0^t (1-s/t) C(s) ds + gamma/(2 dstar);
     kind="canonical": (beta^2/4) int (1-s/t) D(s) ds + gamma/4.
-    All time integrals are done analytically per wavenumber (triangular
-    window), so only the theta quadrature is numerical.
+    Both are independent of E and beta.  All time integrals are done
+    analytically per wavenumber (triangular window), so only the theta
+    quadrature is numerical.
     """
     if t <= 0:
         raise ValueError("t must be > 0")
@@ -697,23 +645,15 @@ def kappa_gk_closed(t: float, *, kind: str = "micro", d: int = 1,
         return _kappa_micro(t, d, dstar, b, gamma, n)
     if kind != "canonical":
         raise ValueError("kind must be 'micro' or 'canonical'")
-    if variant in ("0", "i"):
-        return _kappa_canonical_smooth(t, variant, b, gamma, n)
-    if variant == "ii":
-        return _kappa_canonical_alt(t, b, gamma, n)
-    raise ValueError("variant must be '0', 'i' or 'ii'")
+    if variant not in ("0", "i", "ii"):
+        raise ValueError("variant must be '0', 'i' or 'ii'")
+    if variant != "ii" or b == 0.0:  # as in d_closed
+        return _kappa_micro(t, 1, 2, b if variant != "0" else 0.0, gamma, n)
+    return _kappa_canonical_alt(t, b, gamma, n)
 
 
 # ---------------------------------------------------------------------------
 # exponent fitting
-
-
-@dataclass
-class ClosedFormSeries:
-    times: np.ndarray
-    values: np.ndarray
-    err_est: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def fit_exponent(times, values, window=None):

@@ -83,6 +83,11 @@ def test_closedform_slope_report(tmp_path, monkeypatch):
     header, data = read_csv(tmp_path / "k.csv")
     assert header == ["t", "value", "err_est"]
     assert len(data) == 10
+    # kappa does not depend on beta, E or a seed: no such flags are accepted
+    for flag in ("--beta", "--e", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            run(["closedform", flag, "2"])
+        assert exc.value.code == 2
 
 
 def test_certify_passes(tmp_path, monkeypatch):

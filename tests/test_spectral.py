@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -169,11 +171,57 @@ def test_d_closed_initial_value_all_variants():
 
 
 def test_d_closed_variant0_bessel():
-    g, beta = 0.8, 1.3
-    for t in (0.7, 12.0):
+    beta = 1.3
+    for g, t in ((0.8, 0.7), (0.8, 12.0), (1.5, 0.7), (1.5, 12.0)):
         want = np.exp(0.0) * (ive(0, 2 * g * t) + ive(1, 2 * g * t)) / beta ** 2
         assert sp.d_closed(t, "0", 0.0, g, beta) == pytest.approx(want,
                                                                   rel=1e-9)
+
+
+def _window(a, T):
+    """int_0^T (1 - s/T) e^{-a s} ds for a >= 0, free of cancellation."""
+    x = a * T
+    out = np.empty_like(x)
+    small = x < 1.0
+    out[small] = sum((-x[small]) ** k / math.factorial(k + 2)
+                     for k in range(20))
+    xl = x[~small]
+    out[~small] = (xl - 1.0 + np.exp(-xl)) / xl ** 2
+    return T * out
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("g", [0.5, 1.0, 1.5, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_b0_closed_forms_are_free_decay(d, g, t):
+    # at B=0 every mode decays as e^{-gamma omega2 t}, also where
+    # omega2 (4 - gamma^2 omega2) < 0 (gamma > 1 in d=1, gamma >= 1 in d >= 2)
+    n = 40
+    pts, wts = sp._tensor_grid(d, n, 3)
+    om2 = 4.0 * np.sum(np.sin(np.pi * pts) ** 2, axis=1)
+    w = np.sin(2.0 * np.pi * pts[:, 0]) ** 2 / om2 * wts
+    for dstar in (2, 3):
+        want = float(w @ np.exp(-g * om2 * t)) / dstar
+        assert sp.c_infty(t, d, dstar, 0.0, g, 1.0, n=n) == pytest.approx(
+            want, rel=1e-12)
+        if t > 0:
+            want = float(w @ _window(g * om2, t)) / dstar + g / (2 * dstar)
+            got = sp.kappa_gk_closed(t, kind="micro", d=d, dstar=dstar,
+                                     b=0.0, gamma=g, n=n)
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [0.5, 1.0, 1.5])
+def test_canonical_variants_coincide_at_b0(g):
+    # without a field the charge pattern does not enter
+    for t in (0.5, 10.0, 1e4):
+        want = sp.kappa_gk_closed(t, kind="canonical", variant="0", gamma=g)
+        for v in ("i", "ii"):
+            got = sp.kappa_gk_closed(t, kind="canonical", variant=v, b=0.0,
+                                     gamma=g)
+            assert got == pytest.approx(want, rel=1e-13)
+            assert sp.d_closed(t, v, 0.0, g, 1.3) == pytest.approx(
+                sp.d_closed(t, "0", 0.0, g, 1.3), rel=1e-13)
 
 
 def test_d_closed_variant_ii_tail():
