@@ -1,19 +1,26 @@
-"""Hot loop for long chain trajectories (d=1, dstar=2).
+"""Per-mode flow between noise events, and the hot loop for long chains.
 
-The state lives in Fourier space in circularly polarized form, a = f1 + i f2
-(field term -iB).  For real fields the other polarization is its mirror
-image, b(k) = conj(a(-k)), so only a is evolved.  Per mode, (aF, aW) obeys a
-two-by-two linear flow whose roots s± = -iB/2 ± iΩ are imaginary; the loop
-stores the two eigen-amplitudes in the frame rotating with e^{-iBt/2}, so
-advancing by dt multiplies them by e^{±iΩdt}: one complex exp per mode.  An
-exchange event is an O(N) rank-one update of the velocity modes, with no FFT
-inside the loop.  The loop records the instantaneous total energy current on
-a fixed output grid.
+For a translation-invariant charge each Fourier mode (F, W) of a position
+and velocity component follows a two-by-two linear flow, F' = g W,
+W' = h F + m W with g h = -omega^2.  The circular polarization a = f1 + i f2
+of the charged plane closes on itself with m = -iB; every other component
+has m = 0.  For real fields the mirror polarization f1 - i f2 is
+conj(a(-k)), so it is never evolved: ifft(a) is f1 + i f2 itself.  The
+roots s± = -iB/2 ± iΩ are imaginary, so in eigen-amplitudes in the frame
+rotating with e^{-iBt/2} advancing by dt multiplies them by e^{±iΩdt}: one
+complex exp per mode.  ``eigen_tables`` builds that basis; ``FourierBlock``
+in ``dynamics`` and the chain loop below both run on it.
+
+``run_loop`` evolves a chain (d=1, dstar=2) through its exchange events: an
+exchange is an O(N) rank-one update of the velocity modes, with no FFT
+inside the loop, and the instantaneous total energy current is recorded on a
+fixed output grid.
 """
 
 from __future__ import annotations
 
 import cmath
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,15 +28,57 @@ import numpy as np
 HAVE_NUMBA = False
 
 
-def mode_tables(spec):
-    """Per-mode constants of the eigen-amplitude evolution.
+def mode_coupling(spec):
+    """(g, omega^2) per Fourier mode, flat in row-major order.
+
+    Position coords: g = 1 and h = -omega^2 with
+    omega^2 = sum_a 4 sin^2(pi xi_a / N).  Deformation coords (d=1):
+    g = e^{i phi} - 1 and h = 1 - e^{-i phi} with phi = 2 pi xi / N.
+    """
+    n = spec.n
+    axes = np.meshgrid(*([np.arange(n) / n] * spec.d), indexing="ij")
+    om2 = sum(4.0 * np.sin(np.pi * a) ** 2 for a in axes).ravel()
+    if spec.coords == "position":
+        g = np.ones(spec.nsites, dtype=complex)
+    else:
+        g = np.exp(2j * np.pi * axes[0]) - 1.0
+    return g, om2
+
+
+def eigen_tables(g, om2, b):
+    """Eigen-amplitude basis of the per-mode flow at field b (m = -ib).
 
     Returns a dict of arrays: ``iom`` (iΩ per mode), ``V`` and ``Vinv``
-    (shape (2, 2, N): columns of V are the eigenvectors (F, W) of the two
-    roots, W-component 1 for k != 0), ``shear`` (g on the modes with a
-    double root, else 0), the bond-difference table ``dphase[x, k] =
-    e^{2πi(x+1)k/N} - e^{2πixk/N}``, the output weights ``wgt`` of the
-    total current and the field ``b``.
+    (shape (2, 2) + g.shape: columns of V are the eigenvectors (F, W) of
+    the roots s± = -ib/2 ± iΩ, W-component 1 for a nonzero root) and
+    ``shear`` (g on the modes with a double root, else 0).  Physical
+    (F, W) at time t are e^{-ibt/2} V (c+ e^{iΩt}, c- e^{-iΩt}), plus the
+    Jordan shear F += t g W on a double-root mode, whose basis is the
+    identity.
+    """
+    om = np.hypot(0.5 * b, np.sqrt(om2))  # exactly |b|/2 where om2 = 0
+    V = np.empty((2, 2) + om.shape, dtype=complex)
+    for c, s in enumerate((1j * (om - 0.5 * b), -1j * (om + 0.5 * b))):
+        # eigenvector (g/s, 1); a zero root (only where h=0) has (1, 0)
+        zero = s == 0
+        V[0, c] = np.where(zero, 1.0, g / np.where(zero, 1.0, s))
+        V[1, c] = ~zero
+    # b=0, omega=0: double root 0, kept as the identity basis
+    deg = om == 0
+    V[:, :, deg] = np.eye(2)[:, :, None]
+    det = V[0, 0] * V[1, 1] - V[0, 1] * V[1, 0]
+    Vinv = np.array([[V[1, 1], -V[0, 1]], [-V[1, 0], V[0, 0]]]) / det
+    return {"iom": 1j * om, "V": V, "Vinv": Vinv,
+            "shear": np.where(deg, g, 0.0)}
+
+
+@lru_cache(maxsize=8)
+def mode_tables(spec):
+    """Read-only tables of the chain loop, cached per spec.
+
+    The ``eigen_tables`` of the a polarization, plus the bond-difference
+    table ``dphase[x, k] = e^{2πi(x+1)k/N} - e^{2πixk/N}``, the output
+    weights ``wgt`` of the total current and the field ``b``.
     """
     if spec.d != 1 or spec.dstar != 2 or spec.charge == "alternate":
         raise ValueError("fast kernel requires d=1, dstar=2, "
@@ -37,64 +86,43 @@ def mode_tables(spec):
     n = spec.n
     k = np.arange(n)
     phi = 2.0 * np.pi * k / n
-    lam = 4.0 * np.sin(0.5 * phi) ** 2   # -g h in both coordinate systems
     if spec.coords == "position":
-        g = np.ones(n, dtype=complex)
         wgt = -0.5j * np.sin(phi) / n
     else:
-        g = np.exp(1j * phi) - 1.0
         wgt = -(1.0 + np.exp(-1j * phi)) / (4.0 * n)
     b = spec.b if spec.charge == "uniform" else 0.0
-    om = np.hypot(0.5 * b, np.sqrt(lam))  # exactly |B|/2 at k=0
-    V = np.empty((2, 2, n), dtype=complex)
-    for c, s in enumerate((1j * (om - 0.5 * b), -1j * (om + 0.5 * b))):
-        # eigenvector (g/s, 1); a zero root (k=0 only, where h=0) has (1, 0)
-        zero = s == 0
-        V[0, c] = np.where(zero, 1.0, g / np.where(zero, 1.0, s))
-        V[1, c] = ~zero
-    # B=0, k=0: double root 0, kept as the identity basis (see run_loop)
-    deg = om == 0
-    V[:, :, deg] = np.eye(2)[:, :, None]
-    det = V[0, 0] * V[1, 1] - V[0, 1] * V[1, 0]
-    Vinv = np.array([[V[1, 1], -V[0, 1]], [-V[1, 0], V[0, 0]]]) / det
     dphase = np.exp((2j * np.pi / n) * ((k[:, None] * k) % n))
     dphase *= dphase[1] - 1.0   # e^{2πixk/N} (e^{2πik/N} - 1)
-    return {"iom": 1j * om, "V": V, "Vinv": Vinv,
-            "shear": np.where(deg, g, 0.0), "dphase": dphase, "wgt": wgt,
-            "b": np.float64(b)}
+    tables = eigen_tables(*mode_coupling(spec), b)
+    tables.update(dphase=dphase, wgt=wgt, b=np.float64(b))
+    for v in tables.values():
+        v.setflags(write=False)
+    return tables
 
 
-def state_to_polarized(spec, state):
-    F = np.fft.fft(state.pos, axis=1)
-    W = np.fft.fft(state.vel, axis=1)
-    return (F[0] + 1j * F[1], W[0] + 1j * W[1],
-            F[0] - 1j * F[1], W[0] - 1j * W[1])
+def state_to_polarized(state):
+    """Fourier amplitudes (aF, aW) of the a polarization f1 + i f2."""
+    return (np.fft.fft(state.pos[0] + 1j * state.pos[1]),
+            np.fft.fft(state.vel[0] + 1j * state.vel[1]))
 
 
-def polarized_to_state(spec, aF, aW, bF, bW, time=0.0):
+def polarized_to_state(spec, aF, aW, time=0.0):
     from .lattice import PhaseState
-    pos = np.stack([np.fft.ifft(0.5 * (aF + bF)).real,
-                    np.fft.ifft((aF - bF) / 2j).real])
-    vel = np.stack([np.fft.ifft(0.5 * (aW + bW)).real,
-                    np.fft.ifft((aW - bW) / 2j).real])
-    return PhaseState(spec, pos, vel, time)
-
-
-def _mirror(z):
-    """k -> conj(z(-k)): the b polarization of a real field from its a."""
-    return np.conj(np.roll(z[::-1], 1))
+    pos, vel = np.fft.ifft(aF), np.fft.ifft(aW)
+    return PhaseState(spec, np.stack([pos.real, pos.imag]),
+                      np.stack([vel.real, vel.imag]), time)
 
 
 def run_loop(aF, aW, bF, bW, ev_times, triples, t_end, dt_out, n_out,
              tables):
-    """Evolve the polarized chain state through the exchange events up to
-    the last output time (n_out - 1) * dt_out <= t_end; mutates nothing.
+    """Evolve the polarized chain state (aF, aW) through the exchange events
+    up to the last output time (n_out - 1) * dt_out <= t_end; mutates
+    nothing.
 
-    Only (aF, aW) is read: bF and bW must be its mirror images (real
-    fields) and are rebuilt from the final a.  ``t_end`` is not read; it
-    stays in the signature because perfbench/tracer.py reads the arguments
-    by position.  Returns (final polarized state tuple, current series on
-    the grid o * dt_out).
+    ``bF``, ``bW`` and ``t_end`` are not read; they keep their positions
+    because the benchmark's tracer reads arguments 0, 4 and 8 by position.
+    Returns ((aF, aW) at the last output time, current series on the grid
+    o * dt_out).
     """
     V, iom, D, wgt = tables["V"], tables["iom"], tables["dphase"], \
         tables["wgt"]
@@ -152,4 +180,4 @@ def run_loop(aF, aW, bF, bW, ev_times, triples, t_end, dt_out, n_out,
     # exchanges never touch it and it carries no current when g != 0, so
     # the shear F += t g W of its Jordan flow is applied once, here.
     F += t * tables["shear"] * W
-    return (F, W, _mirror(F), _mirror(W)), out
+    return (F, W), out

@@ -43,12 +43,22 @@ def _fail(code: str, message: str, context: dict | None = None) -> int:
 
 def _load_config(args: argparse.Namespace, flag_defaults: dict) -> dict:
     """Flag defaults, overridden by the config file, overridden by the flags
-    given on the command line (the only ones the namespace holds)."""
+    given on the command line (the only ones the namespace holds).
+
+    A config key must name a flag of the subcommand; ``tau``, the canonical
+    tilt that has no flag, is accepted where ``beta`` is.
+    """
     skip = ("config", "func", "command")
     cfg = {k: v for k, v in flag_defaults.items() if k not in skip}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
+            file_cfg = json.load(fh)
+        unknown = set(file_cfg) - set(cfg) - ({"tau"} if "beta" in cfg
+                                              else set())
+        if unknown:
+            raise SpecError(f"{args.config}: not a {args.command} option: "
+                            + ", ".join(sorted(unknown)))
+        cfg.update(file_cfg)
     cfg.update((k, v) for k, v in vars(args).items() if k not in skip)
     return cfg
 

@@ -2,7 +2,8 @@
 
 Between exchange events the state follows the linear deterministic flow,
 which is solved exactly: either mode-by-mode in Fourier space (translation
-invariant charges) or through one dense eigendecomposition of the drift.
+invariant charges), on the eigen-amplitude tables of ``_kernels`` that the
+chain loop also uses, or through one dense eigendecomposition of the drift.
 Exchange events arrive as a Poisson process of total rate
 gamma * dstar * d * N^d; each event swaps one velocity component across one
 bond.  Bond currents are accumulated pathwise: the deterministic part by
@@ -19,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LatticeSpec, PhaseState, SpecError, neighbor_tables,
-                      site_energies, site_index)
+from . import _kernels as kn
+from .lattice import (LatticeSpec, PhaseState, SpecError, bond_currents,
+                      neighbor_tables, site_energies, site_index)
 from .observables import drift_matrix
 from .rng import stream
 
@@ -33,56 +35,15 @@ class BackendError(SpecError):
 # deterministic flow backends
 
 
-def _pair_propagate(F, W, g, h, m, dt):
-    """Advance (F' = g W, W' = h F + m W) by dt, exactly, per mode.
-
-    F, W, g, h are complex arrays over modes; m is a complex scalar.  The
-    characteristic roots s^2 - m s - g h = 0 are distinct except where
-    m = 0 and g h = 0 simultaneously (handled by the linear-drift limit).
-    ``dt`` may be a scalar or a column vector (k, 1) to evolve to several
-    horizons at once; outputs broadcast accordingly.
-    """
-    disc = np.sqrt(m * m + 4.0 * g * h + 0j)
-    deg = np.abs(disc) < 1e-13
-    safe = np.where(deg, 1.0, disc)
-    sp = 0.5 * (m + safe)
-    sm = 0.5 * (m - safe)
-    ep = np.exp(sp * dt)
-    em = np.exp(sm * dt)
-    inv = 1.0 / safe
-    Fn = (F * (sp * em - sm * ep) + g * W * (ep - em)) * inv
-    Wn = (F * h * (ep - em) + W * (sp * ep - sm * em)) * inv
-    if np.any(deg):
-        # double root at s = 0 (only m = 0, g h = 0 occurs in this model)
-        Fd = F + dt * g * W
-        Wd = W + dt * h * F
-        Fn = np.where(deg, Fd, Fn)
-        Wn = np.where(deg, Wd, Wn)
-    return Fn, Wn
-
-
-def mode_coupling_arrays(spec: LatticeSpec):
-    """(g, h) complex mode arrays of the first-order system in Fourier space.
-
-    Position coords: d(qhat)/dt = vhat, d(vhat)/dt = -omega^2 qhat + field,
-    so g = 1 and h = -omega^2.  Deformation coords (d=1): g = e^{i phi} - 1,
-    h = 1 - e^{-i phi} with phi = 2 pi xi / N; note g h = -omega^2.
-    """
-    n, d, ns = spec.n, spec.d, spec.nsites
-    if spec.coords == "position":
-        axes = np.meshgrid(*([np.arange(n) / n] * d), indexing="ij")
-        om2 = sum(4.0 * np.sin(np.pi * a) ** 2 for a in axes)
-        g = np.ones(ns, dtype=complex)
-        h = -om2.ravel().astype(complex)
-    else:
-        phi = 2.0 * np.pi * np.arange(n) / n
-        g = np.exp(1j * phi) - 1.0
-        h = 1.0 - np.exp(-1j * phi)
-    return g, h
-
-
 class FourierBlock:
-    """Exact per-mode evolution; requires a translation-invariant charge."""
+    """Exact per-mode evolution; requires a translation-invariant charge.
+
+    The field is carried as complex channels: f1 + i f2, whose modes follow
+    the flow at the field B (at 0 for zero charge), then f3, f4, ... at
+    B = 0; with dstar = 1 the single component is the only channel.  Each
+    channel runs on the eigen-amplitude tables of ``_kernels.eigen_tables``,
+    and ifft of the first channel is f1 + i f2 directly.
+    """
 
     kind = "fourier"
 
@@ -92,61 +53,57 @@ class FourierBlock:
                 "alternating charge couples modes xi and xi + N/2; "
                 "use the dense backend")
         self.spec = spec
-        self.g, self.h = mode_coupling_arrays(spec)
-        self.coupled = (spec.dstar >= 2 and spec.b != 0.0
-                        and spec.charge == "uniform")
+        g, om2 = kn.mode_coupling(spec)
+        free = kn.eigen_tables(g, om2, 0.0)
+        b = spec.b if spec.charge == "uniform" else 0.0   # b = 0 if dstar = 1
+        tabs = [kn.eigen_tables(g, om2, b) if b else free]
+        tabs += [free] * (spec.dstar - 2)
+        # per channel: (..., channel, mode) tables and the frame rate -ib/2
+        self._tab = {k: np.stack([t[k] for t in tabs], axis=-2)
+                     for k in free}
+        self._half_b = np.array([-0.5j * b] + [0.0] * (len(tabs) - 1))
         self._axes = tuple(range(1, spec.d + 1))
         self._grid = (spec.n,) * spec.d
 
-    def _fft(self, arr):
-        """FFT over the lattice axes of an (..., nsites) array."""
-        return np.fft.fftn(arr.reshape((-1,) + self._grid),
-                           axes=self._axes).reshape(arr.shape)
-
-    def _ifft(self, arr):
-        return np.fft.ifftn(arr.reshape((-1,) + self._grid),
-                            axes=self._axes).real.reshape(arr.shape)
-
     def _evolve_modes(self, state: PhaseState, dts):
-        """Fourier amplitudes (F, W), each (k, dstar, nsites), at the
-        horizons of the column ``dts`` of shape (k, 1)."""
-        F = self._fft(state.pos)
-        W = self._fft(state.vel)
-        shape = (dts.shape[0],) + F.shape
-        Fo = np.empty(shape, dtype=complex)
-        Wo = np.empty(shape, dtype=complex)
-        g, h, b = self.g, self.h, self.spec.b
-        if self.coupled:
-            # circular polarizations a = f1 + i f2 (m = -iB), b = f1 - i f2
-            aF, aW = _pair_propagate(F[0] + 1j * F[1], W[0] + 1j * W[1],
-                                     g, h, -1j * b, dts)
-            bF, bW = _pair_propagate(F[0] - 1j * F[1], W[0] - 1j * W[1],
-                                     g, h, 1j * b, dts)
-            Fo[:, 0], Wo[:, 0] = 0.5 * (aF + bF), 0.5 * (aW + bW)
-            Fo[:, 1], Wo[:, 1] = (aF - bF) / 2j, (aW - bW) / 2j
-            lo = 2
+        """Fields (pos, vel), each (k, dstar, nsites), at the horizons of
+        the 1-d array ``dts``."""
+        ds = self.spec.dstar
+        fields = np.stack([state.pos, state.vel])
+        if ds >= 2:
+            fields = np.concatenate(
+                [fields[:, :1] + 1j * fields[:, 1:2], fields[:, 2:]], axis=1)
+        FW = np.fft.fftn(fields.reshape((-1,) + self._grid),
+                         axes=self._axes).reshape(fields.shape)
+        tab = self._tab
+        amp = (tab["Vinv"] * FW).sum(axis=1)           # (2, channels, modes)
+        tau = dts[:, None, None]
+        rot = np.exp(tab["iom"] * tau)
+        amp = np.stack([amp[0] * rot, amp[1] * rot.conj()])
+        F, W = (tab["V"][:, :, None] * amp).sum(axis=1) \
+            * np.exp(self._half_b[:, None] * tau)
+        F += tau * tab["shear"] * W     # Jordan flow of a double-root mode
+        out = np.fft.ifftn(np.stack([F, W]).reshape((-1,) + self._grid),
+                           axes=self._axes).reshape((2,) + F.shape)
+        if ds >= 2:
+            out = np.concatenate([out[:, :, :1].real, out[:, :, :1].imag,
+                                  out[:, :, 1:].real], axis=2)
         else:
-            lo = 0
-        for j in range(lo, self.spec.dstar):
-            Fo[:, j], Wo[:, j] = _pair_propagate(F[j], W[j], g, h,
-                                                 0.0 + 0j, dts)
-        return Fo, Wo
+            out = out.real
+        return out[0], out[1]
 
     def propagate(self, state: PhaseState, dt: float) -> PhaseState:
         if dt < 0:
             raise SpecError("dt must be >= 0")
         if dt == 0.0:
             return state.copy()
-        Fo, Wo = self._evolve_modes(state, np.array([[dt]], dtype=float))
-        return PhaseState(self.spec, self._ifft(Fo[0]), self._ifft(Wo[0]),
-                          state.time + dt)
+        pos, vel = self._evolve_modes(state, np.array([dt], dtype=float))
+        return PhaseState(self.spec, pos[0], vel[0], state.time + dt)
 
     def propagate_batch(self, state: PhaseState, dts):
         """States at several horizons from one anchor: (pos, vel) arrays
         of shape (k, dstar, nsites)."""
-        Fo, Wo = self._evolve_modes(
-            state, np.asarray(dts, dtype=float)[:, None])
-        return self._ifft(Fo), self._ifft(Wo)
+        return self._evolve_modes(state, np.asarray(dts, dtype=float))
 
 
 class DenseEigen:
@@ -275,25 +232,6 @@ def _adaptive_integral(f_batch, a: float, b: float, tol: float,
             + _adaptive_integral(f_batch, m, b, 0.5 * tol, depth + 1))
 
 
-def _bond_rates_batch(spec: LatticeSpec, pos, vel):
-    """Deterministic bond currents for a batch of states.
-
-    pos, vel: (k, dstar, nsites) -> (k, d, nsites), direction-major.
-    """
-    k = pos.shape[0]
-    out = np.empty((k, spec.d, spec.nsites))
-    if spec.coords == "position":
-        plus, _ = neighbor_tables(spec)
-        for a in range(spec.d):
-            dq = pos[:, :, plus[a]] - pos
-            vs = vel[:, :, plus[a]] + vel
-            out[:, a] = -0.5 * np.sum(dq * vs, axis=1)
-    else:
-        vplus = np.roll(vel, -1, axis=2)
-        out[:, 0] = -0.5 * np.sum(pos * (vplus + vel), axis=1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -365,7 +303,7 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
 
             def f_batch(taus):
                 pb, vb = backend.propagate_batch(anchor, taus)
-                return _bond_rates_batch(spec, pb, vb)
+                return bond_currents(spec, pb, vb)
 
             integral = _adaptive_integral(f_batch, 0.0, seg, 1e-13)
             det_run = det_run + integral.sum(axis=1)
@@ -423,7 +361,6 @@ def simulate_current_series(s0: PhaseState, t_end: float, dt_out: float,
     O(N) with no transforms.  Requires d=1, dstar=2 and a zero or uniform
     charge.  Returns (times, current series, PhaseState at times[-1]).
     """
-    from . import _kernels as kn
     spec = s0.spec
     if t_end <= 0:
         raise SpecError("t_end must be > 0")
@@ -432,11 +369,10 @@ def simulate_current_series(s0: PhaseState, t_end: float, dt_out: float,
     tables = kn.mode_tables(spec)
     ev_times, triples, _ = draw_events(spec, t_end, seed, index)
     n_out = int(np.floor(t_end / dt_out + 1e-9)) + 1
-    aF, aW, bF, bW = kn.state_to_polarized(spec, s0)
-    (aF, aW, bF, bW), series = kn.run_loop(
-        aF, aW, bF, bW, ev_times, triples, t_end, dt_out, n_out, tables)
-    final = kn.polarized_to_state(spec, aF, aW, bF, bW,
-                                  time=(n_out - 1) * dt_out)
+    aF, aW = kn.state_to_polarized(s0)
+    (aF, aW), series = kn.run_loop(
+        aF, aW, None, None, ev_times, triples, t_end, dt_out, n_out, tables)
+    final = kn.polarized_to_state(spec, aF, aW, time=(n_out - 1) * dt_out)
     return np.arange(n_out) * dt_out, series, final
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import SpecError, total_current
+from .lattice import SpecError, bond_currents
 
 
 @dataclass
@@ -56,8 +56,7 @@ def jackknife(samples: np.ndarray):
 
 def trajectory_current_series(traj, a: int = 0) -> np.ndarray:
     """Instantaneous total current at the output grid of one trajectory."""
-    return np.array([total_current(traj.state(k), a)
-                     for k in range(len(traj.times))])
+    return bond_currents(traj.spec, traj.pos, traj.vel)[:, a].sum(axis=-1)
 
 
 def _as_series_list(trajectories, a):

@@ -175,19 +175,30 @@ def total_energy(state: PhaseState) -> float:
     return float(np.sum(site_energies(state)))
 
 
+def bond_currents(spec: LatticeSpec, pos, vel) -> np.ndarray:
+    """Deterministic currents j_{x,x+e_a} of states with leading batch axes.
+
+    pos, vel: (..., dstar, nsites) -> (..., d, nsites), indexed by the
+    direction a and the left site x of the bond.
+    """
+    if spec.coords == "position":
+        plus, _ = neighbor_tables(spec)
+        return np.stack([-0.5 * np.sum((pos[..., p] - pos)
+                                       * (vel[..., p] + vel), axis=-2)
+                         for p in plus], axis=-2)
+    vplus = np.roll(vel, -1, axis=-1)
+    return -0.5 * np.sum(pos * (vplus + vel), axis=-2)[..., None, :]
+
+
 def currents_all(state: PhaseState, a: int = 0):
     """(ja, js) arrays over all bonds (x, x+e_a), indexed by left site x."""
     spec = state.spec
+    ja = bond_currents(spec, state.pos, state.vel)[a]
     if spec.coords == "position":
         plus, _ = neighbor_tables(spec)
-        dq = state.pos[:, plus[a]] - state.pos
-        vsum = state.vel[:, plus[a]] + state.vel
-        ja = -0.5 * np.sum(dq * vsum, axis=0)
-        js = -0.5 * spec.gamma * np.sum(state.vel[:, plus[a]] ** 2
-                                        - state.vel ** 2, axis=0)
-        return ja, js
-    vplus = np.roll(state.vel, -1, axis=1)
-    ja = -0.5 * np.sum(state.pos * (vplus + state.vel), axis=0)
+        vplus = state.vel[:, plus[a]]
+    else:
+        vplus = np.roll(state.vel, -1, axis=1)
     js = -0.5 * spec.gamma * np.sum(vplus ** 2 - state.vel ** 2, axis=0)
     return ja, js
 
@@ -205,9 +216,6 @@ def total_current(state: PhaseState, a: int = 0) -> float:
     """Sum over bonds of the deterministic current in direction a."""
     ja, _ = currents_all(state, a)
     return float(np.sum(ja))
-
-
-SIGMA = np.array([[0.0, -1.0], [1.0, 0.0]])  # rotation generator, (1,2) plane
 
 
 @dataclass

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import mode_coupling
 from .lattice import LatticeSpec, PhaseState, SpecError
 
 _SQRT2 = np.sqrt(2.0)
@@ -42,10 +43,7 @@ def _mode_classes(spec: LatticeSpec):
 
 def _omega_n(spec: LatticeSpec) -> np.ndarray:
     """omega(theta) at each lattice wavenumber (flat, row-major); 0 at xi=0."""
-    n, d = spec.n, spec.d
-    axes = np.meshgrid(*([np.arange(n) / n] * d), indexing="ij")
-    om2 = sum(4.0 * np.sin(np.pi * a) ** 2 for a in axes)
-    return np.sqrt(om2).ravel()
+    return np.sqrt(mode_coupling(spec)[1])
 
 
 def sphere_dimension(spec: LatticeSpec) -> int:

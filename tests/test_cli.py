@@ -129,6 +129,36 @@ def test_config_file_with_flag_override(tmp_path, monkeypatch):
     assert max(int(r["site"]) for r in rows) == 7
 
 
+@pytest.mark.parametrize("command,cfg,bad", [
+    ("closedform", {"points": 3, "beta": 2.0}, "beta"),
+    ("simulate", {"n": 8, "gama": 0.5}, "gama")])
+def test_config_rejects_keys_that_are_not_flags(tmp_path, monkeypatch,
+                                               capsys, command, cfg, bad):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run([command, "--config", "cfg.json"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == "SpecError"
+    assert bad in err["message"]
+
+
+def test_config_accepts_tau_with_beta(tmp_path, monkeypatch):
+    # tau has no flag; it shifts the canonical deformations by -tau
+    monkeypatch.chdir(tmp_path)
+    values = []
+    for name, extra in (("plain", {}), ("tilted", {"tau": [0.5, 0.0]})):
+        cfg = {"n": 8, "coords": "deformation", "out": f"{name}.csv", **extra}
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        assert run(["sample", "--config", f"{name}.json"]) == 0
+        with open(tmp_path / f"{name}.csv") as fh:
+            values.append(np.array([[float(r["component"]), float(r["value"])]
+                                    for r in csv.DictReader(fh)
+                                    if r["field"] == "pos"]))
+    shift = values[1][:, 1] - values[0][:, 1]
+    assert np.allclose(shift, np.where(values[0][:, 0] == 0, -0.5, 0.0),
+                       atol=1e-12)
+
+
 def test_thread_cap_is_set_before_numpy_loads():
     # record the pool variables at the moment numpy is first imported
     probe = """

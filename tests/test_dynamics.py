@@ -319,6 +319,19 @@ def test_fast_path_long_horizon_conservation():
     assert np.abs(c1 - c0).max() <= 2e-10
 
 
+def test_mode_tables_are_cached_and_read_only():
+    from magnon_gk import _kernels as kn
+    first = kn.mode_tables(DEFORM)
+    again = kn.mode_tables(LatticeSpec(d=1, dstar=2, n=16, b=1.0, gamma=1.0,
+                                       coords="deformation"))
+    assert again.keys() == first.keys()
+    for key, arr in first.items():
+        assert again[key] is arr
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        first["dphase"][0, 0] = 0.0
+
+
 def test_fast_path_rejects_alternate():
     s0 = sample_canonical(ALT, 1.0, rng=stream(7, "init"))
     with pytest.raises(Exception):
