@@ -6,24 +6,31 @@ invariant charges), on the eigen-amplitude tables of ``_kernels`` that the
 chain loop also uses, or through one dense eigendecomposition of the drift.
 Exchange events arrive as a Poisson process of total rate
 gamma * dstar * d * N^d; each event swaps one velocity component across one
-bond.  Bond currents are accumulated pathwise: the deterministic part by
-adaptive Gauss-Legendre quadrature along the exact flow, the jump part from
-the swapped kinetic energies, so the per-site continuity equation holds to
-quadrature accuracy on every trajectory.
+bond.  ``simulate`` carries each trajectory as the backend's eigen-amplitudes
+from start to end: a segment between events is one complex exp per mode, an
+exchange a rank-one kick, and real space is formed only at output times.
+Currents are accumulated pathwise.  The integral of the total current over
+a segment is exact in closed form; per-bond integrals (``track="bonds"``)
+use adaptive Gauss-Legendre quadrature along the exact flow, the only place
+quadrature is used.  The jump part comes from the swapped kinetic energies,
+so the per-site continuity equation holds to quadrature accuracy on every
+trajectory.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels as kn
 from .lattice import (LatticeSpec, PhaseState, SpecError, bond_currents,
                       neighbor_tables, site_energies, site_index)
-from .observables import drift_matrix
+from .observables import drift_matrix, total_current_observable
 from .rng import stream
 
 
@@ -31,11 +38,38 @@ class BackendError(SpecError):
     """Evolution backend cannot handle the requested model."""
 
 
+class QuadratureError(SpecError):
+    """Adaptive current quadrature did not converge within its depth cap."""
+
+
 # ---------------------------------------------------------------------------
 # deterministic flow backends
+#
+# Each backend hands out a per-trajectory ``modes(state)`` object that keeps
+# the state as eigen-amplitudes between events: ``advance(dt)`` is one
+# complex exp per mode, ``exchange(j, a, x)`` a rank-one kick, ``states``
+# goes to real space only where asked, and ``current_integral(T)`` is the
+# exact integral of the total current over the next T.
 
 
-class FourierBlock:
+class _Exact:
+    """``propagate`` and ``propagate_batch`` from a fresh ``modes``."""
+
+    def propagate(self, state: PhaseState, dt: float) -> PhaseState:
+        if dt < 0:
+            raise SpecError("dt must be >= 0")
+        if dt == 0.0:
+            return state.copy()
+        pos, vel = self.modes(state).states(np.array([dt], dtype=float))
+        return PhaseState(self.spec, pos[0], vel[0], state.time + dt)
+
+    def propagate_batch(self, state: PhaseState, dts):
+        """States at several horizons from one anchor: (pos, vel) arrays
+        of shape (k, dstar, nsites)."""
+        return self.modes(state).states(np.asarray(dts, dtype=float))
+
+
+class FourierBlock(_Exact):
     """Exact per-mode evolution; requires a translation-invariant charge.
 
     The field is carried as complex channels: f1 + i f2, whose modes follow
@@ -62,56 +96,140 @@ class FourierBlock:
         self._tab = {k: np.stack([t[k] for t in tabs], axis=-2)
                      for k in free}
         self._half_b = np.array([-0.5j * b] + [0.0] * (len(tabs) - 1))
-        self._axes = tuple(range(1, spec.d + 1))
         self._grid = (spec.n,) * spec.d
+        # exchanges: the integer wavevectors k (row-major; the same array
+        # holds the site coordinates) and e^{2πik_a/N} per direction, so that
+        # the phase row e^{2πik·x/N} of a site is one lookup in a root table
+        self._k = np.indices(self._grid).reshape(spec.d, -1).T.copy()
+        self._root = np.exp(2j * np.pi * np.arange(spec.n) / spec.n)
+        self._step = self._root[self._k.T]
+        # total current J_a = Re sum_k w_a(k) F conj(W) per channel.  In
+        # amplitudes F conj(W) is |c+|^2 V00 conj(V10) + |c-|^2 V01 conj(V11)
+        # + c+ conj(c-) V00 conj(V11) + conj(c+ conj(c-)) V01 conj(V10), and
+        # c+ conj(c-) turns with e^{2iΩτ}.  A double-root mode has w = 0
+        # wherever its shear is nonzero (k = 0 in position coords).
+        phi = 2.0 * np.pi * self._k.T / spec.n
+        if spec.coords == "position":
+            w = -1j * np.sin(phi) / spec.nsites
+        else:
+            w = -(1.0 + np.exp(-1j * phi)) / (2.0 * spec.n)
+        w = w[:, None, None, :]
+        V = self._tab["V"]
+        self._w_abs = (w * np.stack([V[0, 0] * V[1, 0].conj(),
+                                     V[0, 1] * V[1, 1].conj()])
+                       ).real.reshape(spec.d, -1)
+        self._w_turn = (w * V[0, 0] * V[1, 1].conj()
+                        + (w * V[0, 1] * V[1, 0].conj()).conj()
+                        ).reshape(spec.d, -1)
+        iom2 = 2.0 * self._tab["iom"]
+        self._still = iom2 == 0
+        self._iom2 = np.where(self._still, 1.0, iom2)
 
-    def _evolve_modes(self, state: PhaseState, dts):
-        """Fields (pos, vel), each (k, dstar, nsites), at the horizons of
-        the 1-d array ``dts``."""
-        ds = self.spec.dstar
+    def _lattice_fft(self, x, fft):
+        """``fft`` (np.fft.fft or ifft) over the lattice axes of x, whose
+        last axis runs over the sites or modes in row-major order."""
+        y = x.reshape(x.shape[:-1] + self._grid)
+        for ax in range(-self.spec.d, 0):
+            y = fft(y, axis=ax)
+        return y.reshape(x.shape)
+
+    def modes(self, state: PhaseState) -> "_FourierModes":
+        return _FourierModes(self, state)
+
+
+class _FourierModes:
+    """One trajectory's eigen-amplitudes under a ``FourierBlock``.
+
+    Physical channel modes at elapsed time t are
+    (F, W) = e^{-ibt/2} V amp, plus the Jordan shear F += t g W on a
+    double-root mode (k = 0, which no exchange touches).
+    """
+
+    def __init__(self, block: FourierBlock, state: PhaseState):
+        self.block = block
+        self.t = 0.0
         fields = np.stack([state.pos, state.vel])
-        if ds >= 2:
+        if block.spec.dstar >= 2:
             fields = np.concatenate(
                 [fields[:, :1] + 1j * fields[:, 1:2], fields[:, 2:]], axis=1)
-        FW = np.fft.fftn(fields.reshape((-1,) + self._grid),
-                         axes=self._axes).reshape(fields.shape)
-        tab = self._tab
-        amp = (tab["Vinv"] * FW).sum(axis=1)           # (2, channels, modes)
-        tau = dts[:, None, None]
+        FW = block._lattice_fft(fields, np.fft.fft)
+        self.amp = (block._tab["Vinv"] * FW).sum(axis=1)  # (2, chan, modes)
+
+    def advance(self, dt: float):
+        rot = np.exp(self.block._tab["iom"] * dt)
+        self.amp[0] *= rot
+        self.amp[1] *= rot.conj()
+        self.t += dt
+
+    def states(self, taus):
+        """Fields (pos, vel), each (k, dstar, nsites), at elapsed times
+        t + taus for the 1-d array ``taus``."""
+        blk = self.block
+        tab = blk._tab
+        tau = taus[:, None, None]
         rot = np.exp(tab["iom"] * tau)
-        amp = np.stack([amp[0] * rot, amp[1] * rot.conj()])
-        F, W = (tab["V"][:, :, None] * amp).sum(axis=1) \
-            * np.exp(self._half_b[:, None] * tau)
-        F += tau * tab["shear"] * W     # Jordan flow of a double-root mode
-        out = np.fft.ifftn(np.stack([F, W]).reshape((-1,) + self._grid),
-                           axes=self._axes).reshape((2,) + F.shape)
-        if ds >= 2:
+        amp = np.empty((2,) + rot.shape, dtype=complex)
+        np.multiply(self.amp[0], rot, out=amp[0])
+        np.multiply(self.amp[1], rot.conj(), out=amp[1])
+        t = self.t + tau
+        FW = (tab["V"][:, :, None] * amp).sum(axis=1)
+        FW *= np.exp(blk._half_b[:, None] * t)
+        FW[0] += t * tab["shear"] * FW[1]
+        out = blk._lattice_fft(FW, np.fft.ifft)
+        if blk.spec.dstar >= 2:
             out = np.concatenate([out[:, :, :1].real, out[:, :, :1].imag,
                                   out[:, :, 1:].real], axis=2)
         else:
             out = out.real
         return out[0], out[1]
 
-    def propagate(self, state: PhaseState, dt: float) -> PhaseState:
-        if dt < 0:
-            raise SpecError("dt must be >= 0")
-        if dt == 0.0:
-            return state.copy()
-        pos, vel = self._evolve_modes(state, np.array([dt], dtype=float))
-        return PhaseState(self.spec, pos[0], vel[0], state.time + dt)
+    def exchange(self, j: int, a: int, x: int) -> float:
+        """Swap v_x^j and v_{x+e_a}^j (x a flat site index); return the
+        kinetic energy gained by site x, as ``apply_exchange`` does."""
+        blk = self.block
+        V, Vinv = blk._tab["V"], blk._tab["Vinv"]
+        c = max(j - 1, 0)               # components 0 and 1 share channel 0
+        unit = 1j if j == 1 else 1.0    # component 1 is the imaginary part
+        amp = self.amp[:, c]
+        frame = cmath.exp(blk._half_b[c] * self.t)
+        row = blk._root[(blk._k @ blk._k[x]) % blk.spec.n]
+        u = row * (V[1, 0, c] * amp[0] + V[1, 1, c] * amp[1])
+        scale = frame / (unit * row.size)
+        vx = (u.sum() * scale).real
+        vy = ((u @ blk._step[a]) * scale).real
+        # v_x gains delta = vy - vx and v_{x+e_a} loses it, so W gains
+        # -delta * unit * conj(row (step - 1)); amplitudes are W / frame
+        dW = row * (blk._step[a] - 1.0)
+        amp += Vinv[:, 1, c] * (dW.conj() * ((vx - vy) * unit / frame))
+        return float(0.5 * (vy * vy - vx * vx))
 
-    def propagate_batch(self, state: PhaseState, dts):
-        """States at several horizons from one anchor: (pos, vel) arrays
-        of shape (k, dstar, nsites)."""
-        return self._evolve_modes(state, np.asarray(dts, dtype=float))
+    def current_integral(self, T: float) -> np.ndarray:
+        """Exact integral of the total current per direction over the next
+        T (the frame factor has modulus one and drops out)."""
+        blk = self.block
+        a0, a1 = self.amp
+        E = np.where(blk._still, T, np.expm1(blk._iom2 * T) / blk._iom2)
+        absq = (self.amp.real ** 2 + self.amp.imag ** 2).ravel()
+        return (T * (blk._w_abs @ absq)
+                + (blk._w_turn @ (a0 * a1.conj() * E).ravel()).real)
 
 
-class DenseEigen:
-    """One-time eigendecomposition of the full linear drift (any charge)."""
+class DenseEigen(_Exact):
+    """One-time eigendecomposition of the full linear drift (any charge).
+
+    Position-coordinate specs with an uncoupled component (B = 0, zero
+    charge or dstar != 2) are rejected: their k=0 mode is a Jordan block,
+    which an eigendecomposition does not resolve.
+    """
 
     kind = "dense"
 
     def __init__(self, spec: LatticeSpec):
+        if spec.coords == "position" and not (
+                spec.charge == "uniform" and spec.b != 0 and spec.dstar == 2):
+            raise BackendError(
+                "drift has a Jordan k=0 block (an uncoupled component in "
+                "position coords); use the fourier backend")
         self.spec = spec
         M = drift_matrix(spec)  # enforces the dense size cap
         self.vals, self.vecs = np.linalg.eig(M)
@@ -122,24 +240,55 @@ class DenseEigen:
                 "drift matrix is not cleanly diagonalizable here "
                 f"(reconstruction error {resid:.2e})")
 
-    def propagate(self, state: PhaseState, dt: float) -> PhaseState:
-        if dt < 0:
-            raise SpecError("dt must be >= 0")
-        if dt == 0.0:
-            return state.copy()
-        z = state.flatten().astype(complex)
-        z = self.vecs @ (np.exp(self.vals * dt) * (self.vinv @ z))
-        return PhaseState.from_flat(self.spec, z.real, state.time + dt)
+    @cached_property
+    def _gcur(self):
+        """vecs^T K_a vecs for the total-current kernel K_a of each
+        direction a; built on the first ``current_integral``."""
+        return np.stack([
+            self.vecs.T @ total_current_observable(self.spec, a).kernel
+            @ self.vecs for a in range(self.spec.d)])
 
-    def propagate_batch(self, state: PhaseState, dts):
-        dts = np.asarray(dts, dtype=float)
-        c = self.vinv @ state.flatten().astype(complex)
-        Z = (np.exp(np.outer(dts, self.vals)) * c) @ self.vecs.T
-        ds, ns = self.spec.dstar, self.spec.nsites
-        half = ds * ns
-        Zr = Z.real
-        return (Zr[:, :half].reshape(-1, ds, ns),
-                Zr[:, half:].reshape(-1, ds, ns))
+    def modes(self, state: PhaseState) -> "_DenseModes":
+        return _DenseModes(self, state)
+
+
+class _DenseModes:
+    """One trajectory's eigen-amplitudes c = vinv z under ``DenseEigen``."""
+
+    def __init__(self, block: DenseEigen, state: PhaseState):
+        self.block = block
+        self.t = 0.0
+        self.c = block.vinv @ state.flatten()
+
+    def advance(self, dt: float):
+        self.c *= np.exp(self.block.vals * dt)
+        self.t += dt
+
+    def states(self, taus):
+        blk = self.block
+        Z = ((np.exp(np.outer(taus, blk.vals)) * self.c) @ blk.vecs.T).real
+        half = blk.spec.dstar * blk.spec.nsites
+        shape = (-1, blk.spec.dstar, blk.spec.nsites)
+        return Z[:, :half].reshape(shape), Z[:, half:].reshape(shape)
+
+    def exchange(self, j: int, a: int, x: int) -> float:
+        blk = self.block
+        spec = blk.spec
+        plus, _ = neighbor_tables(spec)
+        base = (spec.dstar + j) * spec.nsites     # v^j in (pos ‖ vel)
+        rx, ry = base + x, base + int(plus[a][x])
+        vx, vy = (blk.vecs[[rx, ry]] @ self.c).real
+        self.c += (vy - vx) * (blk.vinv[:, rx] - blk.vinv[:, ry])
+        return float(0.5 * (vy * vy - vx * vx))
+
+    def current_integral(self, T: float) -> np.ndarray:
+        """c^T (G_a ∘ E(T)) c with E_ij = int_0^T e^{(λ_i+λ_j)τ} dτ."""
+        vals = self.block.vals
+        s = vals[:, None] + vals
+        still = s == 0
+        E = np.where(still, T, np.expm1(s * T) / np.where(still, 1.0, s))
+        cc = E * np.outer(self.c, self.c)
+        return np.tensordot(self.block._gcur, cc, axes=2).real
 
 
 def make_backend(spec: LatticeSpec, kind: str | None = None):
@@ -212,22 +361,32 @@ _GL_X = 0.5 * (1.0 + np.array([-0.8611363115940526, -0.3399810435848563,
                                0.3399810435848563, 0.8611363115940526]))
 _GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                         0.6521451548625461, 0.3478548451374538])
+# nodes of a 4-point panel on [0, 1] and of its two halves, and the weights
+# of the whole panel (row 0) and of the two halves together (row 1)
+_GL_NODES = np.concatenate([_GL_X, 0.5 * _GL_X, 0.5 + 0.5 * _GL_X])
+_GL_PANELS = np.zeros((2, 12))
+_GL_PANELS[0, :4] = _GL_W
+_GL_PANELS[1, 4:] = 0.5 * np.tile(_GL_W, 2)
+_MAX_DEPTH = 14
 
 
 def _adaptive_integral(f_batch, a: float, b: float, tol: float,
                        depth: int = 0):
     """Integral of a vector-valued f over [a, b], certified by comparing one
     4-point panel against its two half-panels (all 12 nodes in one batched
-    evaluation)."""
-    m = 0.5 * (a + b)
-    taus = np.concatenate([a + (b - a) * _GL_X, a + (m - a) * _GL_X,
-                           m + (b - m) * _GL_X])
-    vals = f_batch(taus)
-    coarse = (b - a) * np.tensordot(_GL_W, vals[:4], axes=1)
-    fine = ((m - a) * np.tensordot(_GL_W, vals[4:8], axes=1)
-            + (b - m) * np.tensordot(_GL_W, vals[8:12], axes=1))
-    if depth >= 14 or np.max(np.abs(fine - coarse)) <= tol:
+    evaluation).  Raises ``QuadratureError`` if a panel at depth 14 still
+    misses its share of the tolerance."""
+    vals = f_batch(a + (b - a) * _GL_NODES)
+    coarse, fine = ((b - a) * (_GL_PANELS @ vals.reshape(12, -1))).reshape(
+        (2,) + vals.shape[1:])
+    err = np.abs(fine - coarse).max()
+    if err <= tol:
         return fine
+    if depth >= _MAX_DEPTH:
+        raise QuadratureError(
+            f"current quadrature unconverged on [{a:.6g}, {b:.6g}] at "
+            f"depth {depth} (error {err:.2e}, tolerance {tol:.2e})")
+    m = 0.5 * (a + b)
     return (_adaptive_integral(f_batch, a, m, 0.5 * tol, depth + 1)
             + _adaptive_integral(f_batch, m, b, 0.5 * tol, depth + 1))
 
@@ -262,8 +421,9 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
     """Run one exact event-driven trajectory from s0.
 
     track: "none" (states only), "total" (cumulative integrated total current
-    per direction), or "bonds" (additionally per-bond integrals at t_end,
-    needed for continuity checks).
+    per direction, exact per segment), or "bonds" (additionally per-bond
+    integrals at t_end, needed for continuity checks, by adaptive quadrature;
+    det_current is then the sum of the bond integrals).
     """
     spec = s0.spec
     if t_end <= 0:
@@ -287,38 +447,35 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
     bond_det = np.zeros((d, ns)) if track == "bonds" else None
     bond_jump = np.zeros((d, ns)) if track == "bonds" else None
 
-    state = s0.copy()
-    state.time = 0.0
-    pos[0], vel[0] = state.pos, state.vel
+    modes = backend.modes(s0)
+    now = np.zeros(1)
+    pos[0], vel[0] = s0.pos, s0.vel
     det_run = np.zeros(d)
     jump_run = np.zeros(d)
 
     def advance(to_t: float):
-        nonlocal state, det_run, bond_det
-        seg = to_t - state.time
+        seg = to_t - modes.t
         if seg <= 0:
             return
-        if track != "none":
-            anchor = state
-
-            def f_batch(taus):
-                pb, vb = backend.propagate_batch(anchor, taus)
-                return bond_currents(spec, pb, vb)
-
-            integral = _adaptive_integral(f_batch, 0.0, seg, 1e-13)
-            det_run = det_run + integral.sum(axis=1)
-            if bond_det is not None:
-                bond_det += integral
-        state = backend.propagate(state, seg)
+        if track == "total":
+            det_run[:] += modes.current_integral(seg)
+        elif track == "bonds":
+            integral = _adaptive_integral(
+                lambda taus: bond_currents(spec, *modes.states(taus)),
+                0.0, seg, 1e-13)
+            det_run[:] += integral.sum(axis=1)
+            bond_det[:] += integral
+        modes.advance(seg)
 
     i, o = 0, 1
     nev = len(ev_times)
     while True:
+        # after the last event every remaining output is due, including one
+        # that rounding puts just past t_end (t_end=0.3, dt_out=0.1)
         t_ev = ev_times[i] if i < nev else np.inf
-        t_next = min(t_ev, t_end)
-        while o < n_out and out_times[o] <= t_next:
+        while o < n_out and out_times[o] <= t_ev:
             advance(out_times[o])
-            pos[o], vel[o] = state.pos, state.vel
+            (pos[o],), (vel[o],) = modes.states(now)
             det_cum[o] = det_run
             jump_cum[o] = jump_run
             o += 1
@@ -327,7 +484,7 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
             break
         advance(t_ev)
         j, a, x = decode_triple(spec, triples[i])
-        state, transported = apply_exchange(state, j, x, a)
+        transported = modes.exchange(j, a, x)
         jump_run[a] -= transported
         if bond_jump is not None:
             bond_jump[a, x] -= transported
@@ -356,10 +513,13 @@ def simulate_current_series(s0: PhaseState, t_end: float, dt_out: float,
                             seed: int, index: int = 0):
     """Fast chain trajectory recording only the total current j^1(t).
 
-    Same event statistics as :func:`simulate` (identical RNG consumption),
-    but the state stays in Fourier space throughout, so cost per event is
-    O(N) with no transforms.  Requires d=1, dstar=2 and a zero or uniform
-    charge.  Returns (times, current series, PhaseState at times[-1]).
+    Same event statistics as :func:`simulate` (identical RNG consumption).
+    Like ``simulate`` it carries eigen-amplitudes throughout, but only the
+    f1 + i f2 channel, with precomputed bond-difference rows, and it records
+    the instantaneous current rather than its integral, so it needs no
+    quadrature and no transforms: cost per event is O(N).  Requires d=1,
+    dstar=2 and a zero or uniform charge.  Returns (times, current series,
+    PhaseState at times[-1]).
     """
     spec = s0.spec
     if t_end <= 0:

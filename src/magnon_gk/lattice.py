@@ -181,13 +181,11 @@ def bond_currents(spec: LatticeSpec, pos, vel) -> np.ndarray:
     pos, vel: (..., dstar, nsites) -> (..., d, nsites), indexed by the
     direction a and the left site x of the bond.
     """
+    plus, _ = neighbor_tables(spec)
     if spec.coords == "position":
-        plus, _ = neighbor_tables(spec)
-        return np.stack([-0.5 * np.sum((pos[..., p] - pos)
-                                       * (vel[..., p] + vel), axis=-2)
-                         for p in plus], axis=-2)
-    vplus = np.roll(vel, -1, axis=-1)
-    return -0.5 * np.sum(pos * (vplus + vel), axis=-2)[..., None, :]
+        return np.stack([((pos[..., p] - pos) * (vel[..., p] + vel))
+                         .sum(axis=-2) for p in plus], axis=-2) * -0.5
+    return (pos * (vel[..., plus[0]] + vel)).sum(axis=-2)[..., None, :] * -0.5
 
 
 def currents_all(state: PhaseState, a: int = 0):
