@@ -80,6 +80,8 @@ def test_zero_mode_velocity_rotation():
 D2 = LatticeSpec(d=2, dstar=3, n=4, b=1.0, gamma=1.0)
 D3 = LatticeSpec(d=3, dstar=3, n=4, b=-0.7, gamma=1.0)
 SCALAR = LatticeSpec(d=1, dstar=1, n=8, b=0.0, gamma=1.0)
+# zero charge in position coords: both components uncoupled (Jordan k=0)
+ZERO = LatticeSpec(d=1, dstar=2, n=8, b=1.0, gamma=1.0, charge="zero")
 
 
 @pytest.mark.parametrize("spec", [UNIFORM, DEFORM, NEUTRAL, FREE, D2, D3,
@@ -105,16 +107,13 @@ def test_backend_cross_agreement(spec):
             assert np.abs(a - b).max() < 1e-8
 
 
-@pytest.mark.parametrize("spec", [FREE, D2, D3, SCALAR])
+@pytest.mark.parametrize("spec", [FREE, D2, D3, SCALAR, ZERO])
 def test_dense_rejects_jordan_specs(spec):
     # position coords with an uncoupled component (B = 0, zero charge or
     # dstar != 2): rejected on structure, whatever the eig round-off
     for _ in range(3):
         with pytest.raises(dy.BackendError, match="Jordan"):
             dy.DenseEigen(spec)
-    with pytest.raises(dy.BackendError):
-        dy.DenseEigen(LatticeSpec(d=1, dstar=2, n=8, b=1.0, gamma=1.0,
-                                  charge="zero"))
 
 
 @pytest.mark.parametrize("spec", [UNIFORM, DEFORM, NEUTRAL, ALT])
@@ -255,10 +254,6 @@ def test_conservation_and_continuity(spec, key):
     c1 = conserved_snapshot(traj.state(last)).as_vector()
     assert np.abs(c1 - c0).max() < 1e-10
     assert dy.continuity_residual(traj) < 1e-9
-
-
-# zero charge in position coords: both components uncoupled (Jordan k=0)
-ZERO = LatticeSpec(d=1, dstar=2, n=8, b=1.0, gamma=1.0, charge="zero")
 
 
 def oracle_state(spec, key):
