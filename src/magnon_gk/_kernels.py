@@ -1,4 +1,4 @@
-"""Per-mode flow between noise events, and the hot loop for long chains.
+"""Per-mode flow between noise events, and the exchange loop of long chains.
 
 For a translation-invariant charge each Fourier mode (F, W) of a position
 and velocity component follows a two-by-two linear flow, F' = g W,
@@ -8,13 +8,15 @@ has m = 0.  For real fields the mirror polarization f1 - i f2 is
 conj(a(-k)), so it is never evolved: ifft(a) is f1 + i f2 itself.  The
 roots s± = -iB/2 ± iΩ are imaginary, so in eigen-amplitudes in the frame
 rotating with e^{-iBt/2} advancing by dt multiplies them by e^{±iΩdt}: one
-complex exp per mode.  ``eigen_tables`` builds that basis; ``FourierBlock``
-in ``dynamics`` and the chain loop below both run on it.
+complex exp per mode.  ``eigen_tables`` builds that basis, and
+``FourierBlock`` in ``dynamics`` runs every channel on it.
 
-``run_loop`` evolves a chain (d=1, dstar=2) through its exchange events: an
-exchange is an O(N) rank-one update of the velocity modes, with no FFT
-inside the loop, and the instantaneous total energy current is recorded on a
-fixed output grid.
+``run_loop`` drives a chain (d=1, dstar=2) through its exchange events on
+``FourierBlock``'s amplitudes: their ``advance`` moves it between events
+and their ``current`` gives the total energy current on a fixed output
+grid.  The loop keeps only the exchange itself, an O(N) rank-one update of
+the f1 + i f2 velocity modes through the cached bond-difference table
+``dphase``, so no FFT runs inside the loop.
 """
 
 from __future__ import annotations
@@ -74,110 +76,56 @@ def eigen_tables(g, om2, b):
 
 @lru_cache(maxsize=8)
 def mode_tables(spec):
-    """Read-only tables of the chain loop, cached per spec.
-
-    The ``eigen_tables`` of the a polarization, plus the bond-difference
-    table ``dphase[x, k] = e^{2πi(x+1)k/N} - e^{2πixk/N}``, the output
-    weights ``wgt`` of the total current and the field ``b``.
-    """
+    """Read-only bond-difference table of the chain loop, cached per spec:
+    ``dphase[x, k] = e^{2πi(x+1)k/N} - e^{2πixk/N}``."""
     if spec.d != 1 or spec.dstar != 2 or spec.charge == "alternate":
         raise ValueError("fast kernel requires d=1, dstar=2, "
                          "translation-invariant charge")
     n = spec.n
     k = np.arange(n)
-    phi = 2.0 * np.pi * k / n
-    if spec.coords == "position":
-        wgt = -0.5j * np.sin(phi) / n
-    else:
-        wgt = -(1.0 + np.exp(-1j * phi)) / (4.0 * n)
-    b = spec.b if spec.charge == "uniform" else 0.0
     dphase = np.exp((2j * np.pi / n) * ((k[:, None] * k) % n))
     dphase *= dphase[1] - 1.0   # e^{2πixk/N} (e^{2πik/N} - 1)
-    tables = eigen_tables(*mode_coupling(spec), b)
-    tables.update(dphase=dphase, wgt=wgt, b=np.float64(b))
-    for v in tables.values():
-        v.setflags(write=False)
-    return tables
+    dphase.setflags(write=False)
+    return {"dphase": dphase}
 
 
-def state_to_polarized(state):
-    """Fourier amplitudes (aF, aW) of the a polarization f1 + i f2."""
-    return (np.fft.fft(state.pos[0] + 1j * state.pos[1]),
-            np.fft.fft(state.vel[0] + 1j * state.vel[1]))
+def run_loop(dphase, modes, kap, half_b, ev_times, triples, series, dt_out,
+             n_out):
+    """Run a chain's ``FourierBlock`` amplitudes ``modes`` through the
+    exchange events (times ``ev_times``, flat (j, x) codes ``triples``),
+    writing the total current at o * dt_out, o < n_out, into ``series``.
 
-
-def polarized_to_state(spec, aF, aW, time=0.0):
-    from .lattice import PhaseState
-    pos, vel = np.fft.ifft(aF), np.fft.ifft(aW)
-    return PhaseState(spec, np.stack([pos.real, pos.imag]),
-                      np.stack([vel.real, vel.imag]), time)
-
-
-def run_loop(aF, aW, bF, bW, ev_times, triples, t_end, dt_out, n_out,
-             tables):
-    """Evolve the polarized chain state (aF, aW) through the exchange events
-    up to the last output time (n_out - 1) * dt_out <= t_end; mutates
-    nothing.
-
-    ``bF``, ``bW`` and ``t_end`` are not read; they keep their positions
-    because the benchmark's tracer reads arguments 0, 4 and 8 by position.
-    Returns ((aF, aW) at the last output time, current series on the grid
-    o * dt_out).
+    ``kap`` is the amplitude kick per unit kick of the f1 + i f2 velocity
+    modes and ``half_b`` the frame rate -ib/2 of that channel.  Outputs due
+    at an event time are taken before the event.  The order of the
+    arguments keeps the table first, the event times fifth and n_out ninth,
+    where the benchmark's tracer reads them.
     """
-    V, iom, D, wgt = tables["V"], tables["iom"], tables["dphase"], \
-        tables["wgt"]
-    kap = tables["Vinv"][:, 1]          # amplitude kick per unit W kick
-    half_b = -0.5j * float(tables["b"])
-    n = aF.shape[0]
-    amp = (tables["Vinv"] * np.stack([aF, aW])).sum(axis=1)
-    fac = np.empty_like(amp)
+    advance, current = modes.advance, modes.current
+    amp = modes.amp[:, 0]               # the f1 + i f2 channel, a view
+    n = len(dphase)
     kick = np.empty_like(amp)
-    out = np.empty(n_out)
-    t_stop = (n_out - 1) * dt_out
-    t = 0.0
-
-    def advance(dt):
-        np.multiply(iom, dt, out=fac[0])
-        np.exp(fac[0], out=fac[0])
-        np.conjugate(fac[0], out=fac[1])
-        np.multiply(amp, fac, out=amp)
-
-    def record(o):
-        F, W = (V * amp).sum(axis=1)
-        out[o] = 2.0 * np.vdot(W, wgt * F).real
-
     o = 0
     for t_ev, trip in zip(ev_times.tolist(), triples.tolist()):
-        if t_ev > t_stop:
-            break
         while o * dt_out <= t_ev:
-            advance(o * dt_out - t)
-            t = o * dt_out
-            record(o)
+            advance(o * dt_out - modes.t)
+            series[o] = current()[0]
             o += 1
-        advance(t_ev - t)
-        t = t_ev
+        advance(t_ev - modes.t)
         # Exchange of velocity component j across the bond (x, x+1).  With
         # v0 + i v1 = ifft(W), c = (v0 + i v1)(x+1) - (v0 + i v1)(x); the
         # swap moves delta = Re c (or i Im c) from site x+1 to site x, so W
         # gains -delta * conj(dphase[x]) = delta * dphase[N-1-x].  W is
         # amp[0] + amp[1] except at k=0, where dphase vanishes.
         j, x = divmod(trip, n)
-        rot = cmath.exp(half_b * t)     # physical W = rot * stored W
-        w0, w1 = (amp @ D[x]).tolist()
+        rot = cmath.exp(half_b * modes.t)   # physical W = rot * stored W
+        w0, w1 = (amp @ dphase[x]).tolist()
         c = rot * (w0 + w1) / n
         coef = (c.real if j == 0 else 1j * c.imag) / rot
-        np.multiply(kap, D[n - 1 - x], out=kick)
+        np.multiply(kap, dphase[n - 1 - x], out=kick)
         kick *= coef
         amp += kick
     while o < n_out:
-        advance(o * dt_out - t)
-        t = o * dt_out
-        record(o)
+        advance(o * dt_out - modes.t)
+        series[o] = current()[0]
         o += 1
-    F, W = cmath.exp(half_b * t) * (V * amp).sum(axis=1)
-    # A double-root mode (k=0 at B=0) sat still in the identity basis:
-    # exchanges never touch it and it carries no current when g != 0, so
-    # the shear F += t g W of its Jordan flow is applied once, here.
-    F += t * tables["shear"] * W
-    return (F, W), out

@@ -110,7 +110,7 @@ def cmd_simulate(cfg: dict) -> int:
     t_end = float(cfg.get("t_end", 1.0))
     dt_out = float(cfg.get("dt_out", 0.25))
     track = cfg.get("track", "total")
-    backend = dy.make_backend(spec, cfg.get("backend"))
+    backend = dy.make_backend(spec)
     meta = {"config": {k: v for k, v in cfg.items() if k != "func"},
             "config_hash": _config_hash(cfg), "files": []}
     for idx in range(n_traj):
@@ -267,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-traj", dest="n_traj", type=int, default=1)
     sp.add_argument("--track", choices=("none", "total", "bonds"),
                     default="total")
-    sp.add_argument("--backend", choices=("fourier", "dense"))
     sp.add_argument("--out", default="trajectories")
     sp.set_defaults(func=cmd_simulate)
 

@@ -28,18 +28,15 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels as kn
-from .lattice import (LatticeSpec, PhaseState, SpecError, bond_currents,
-                      neighbor_tables, site_energies, site_index)
+from .lattice import (LatticeSpec, PhaseState, QuadratureError, SpecError,
+                      bond_currents, neighbor_tables, site_energies,
+                      site_index)
 from .observables import drift_matrix, total_current_observable
 from .rng import stream
 
 
 class BackendError(SpecError):
     """Evolution backend cannot handle the requested model."""
-
-
-class QuadratureError(SpecError):
-    """Adaptive current quadrature did not converge within its depth cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +151,15 @@ class _FourierModes:
                 [fields[:, :1] + 1j * fields[:, 1:2], fields[:, 2:]], axis=1)
         FW = block._lattice_fft(fields, np.fft.fft)
         self.amp = (block._tab["Vinv"] * FW).sum(axis=1)  # (2, chan, modes)
+        self._fac = np.empty_like(self.amp)
 
     def advance(self, dt: float):
-        rot = np.exp(self.block._tab["iom"] * dt)
-        self.amp[0] *= rot
-        self.amp[1] *= rot.conj()
+        """Move the amplitudes on by dt, in place."""
+        fac = self._fac
+        np.multiply(self.block._tab["iom"], dt, out=fac[0])
+        np.exp(fac[0], out=fac[0])
+        np.conjugate(fac[0], out=fac[1])
+        self.amp *= fac
         self.t += dt
 
     def states(self, taus):
@@ -202,6 +203,15 @@ class _FourierModes:
         dW = row * (blk._step[a] - 1.0)
         amp += Vinv[:, 1, c] * (dW.conj() * ((vx - vy) * unit / frame))
         return float(0.5 * (vy * vy - vx * vx))
+
+    def current(self) -> np.ndarray:
+        """Total current per direction now: ``current_integral``'s
+        integrand at τ = 0."""
+        blk = self.block
+        a0, a1 = self.amp
+        absq = (self.amp.real ** 2 + self.amp.imag ** 2).ravel()
+        return (blk._w_abs @ absq
+                + (blk._w_turn @ (a0 * a1.conj()).ravel()).real)
 
     def current_integral(self, T: float) -> np.ndarray:
         """Exact integral of the total current per direction over the next
@@ -408,37 +418,53 @@ class Trajectory:
     det_current: np.ndarray    # (n_out, d): cumulative integral of sum_x j^a
     jump_current: np.ndarray   # (n_out, d): cumulative jump part
     event_count: int
-    bond_det: np.ndarray | None = None   # (d, nsites) at t_end
-    bond_jump: np.ndarray | None = None  # (d, nsites) at t_end
+    bond_det: np.ndarray | None = None   # (d, nsites) at times[-1]
+    bond_jump: np.ndarray | None = None  # (d, nsites) at times[-1]
 
     def state(self, k: int) -> PhaseState:
         return PhaseState(self.spec, self.pos[k].copy(), self.vel[k].copy(),
                           float(self.times[k]))
 
 
-def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
-             backend=None, index: int = 0, track: str = "total") -> Trajectory:
-    """Run one exact event-driven trajectory from s0.
+def _schedule(spec: LatticeSpec, t_end: float, dt_out: float, seed: int,
+              index: int):
+    """Output times o * dt_out <= t_end and the events a trajectory applies.
 
-    track: "none" (states only), "total" (cumulative integrated total current
-    per direction, exact per segment), or "bonds" (additionally per-bond
-    integrals at t_end, needed for continuity checks, by adaptive quadrature;
-    det_current is then the sum of the bond integrals).
+    A trajectory stops at its last output time: events are drawn on
+    (0, t_end] as ``draw_events`` does, but those after that time are not
+    applied and nothing is integrated past it.  Returns (output times,
+    event times, event triples).
     """
-    spec = s0.spec
     if t_end <= 0:
         raise SpecError("t_end must be > 0")
     if dt_out <= 0 or dt_out > t_end:
         raise SpecError("dt_out must be in (0, t_end]")
+    out_times = np.arange(int(np.floor(t_end / dt_out + 1e-9)) + 1) * dt_out
+    ev_times, triples, _ = draw_events(spec, t_end, seed, index)
+    nev = int(np.searchsorted(ev_times, out_times[-1], side="right"))
+    return out_times, ev_times[:nev], triples[:nev]
+
+
+def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
+             backend=None, index: int = 0, track: str = "total") -> Trajectory:
+    """Run one exact event-driven trajectory from s0 to its last output
+    time (o * dt_out <= t_end).
+
+    track: "none" (states only), "total" (cumulative integrated total current
+    per direction, exact per segment), or "bonds" (additionally per-bond
+    integrals over the run, needed for continuity checks, by adaptive
+    quadrature; det_current is then the sum of the bond integrals).
+    ``event_count`` counts the events applied.
+    """
+    spec = s0.spec
     if track not in ("none", "total", "bonds"):
         raise SpecError(f"unknown track mode {track!r}")
+    out_times, ev_times, triples = _schedule(spec, t_end, dt_out, seed,
+                                             index)
     if backend is None:
         backend = make_backend(spec)
     d, ns = spec.d, spec.nsites
-
-    ev_times, triples, _ = draw_events(spec, t_end, seed, index)
-    n_out = int(np.floor(t_end / dt_out + 1e-9)) + 1
-    out_times = np.arange(n_out) * dt_out
+    n_out, nev = len(out_times), len(ev_times)
 
     pos = np.empty((n_out, spec.dstar, ns))
     vel = np.empty((n_out, spec.dstar, ns))
@@ -468,7 +494,6 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
         modes.advance(seg)
 
     i, o = 0, 1
-    nev = len(ev_times)
     while True:
         # after the last event every remaining output is due, including one
         # that rounding puts just past t_end (t_end=0.3, dt_out=0.1)
@@ -480,7 +505,6 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
             jump_cum[o] = jump_run
             o += 1
         if i >= nev:
-            advance(t_end)
             break
         advance(t_ev)
         j, a, x = decode_triple(spec, triples[i])
@@ -513,27 +537,25 @@ def simulate_current_series(s0: PhaseState, t_end: float, dt_out: float,
                             seed: int, index: int = 0):
     """Fast chain trajectory recording only the total current j^1(t).
 
-    Same event statistics as :func:`simulate` (identical RNG consumption).
-    Like ``simulate`` it carries eigen-amplitudes throughout, but only the
-    f1 + i f2 channel, with precomputed bond-difference rows, and it records
-    the instantaneous current rather than its integral, so it needs no
-    quadrature and no transforms: cost per event is O(N).  Requires d=1,
-    dstar=2 and a zero or uniform charge.  Returns (times, current series,
-    PhaseState at times[-1]).
+    Same events and stop rule as :func:`simulate`, on the same
+    ``FourierBlock`` amplitudes, but it records the instantaneous current
+    rather than its integral and applies each exchange through
+    ``_kernels.run_loop``'s bond-difference rows: no quadrature and no
+    transform inside the loop, O(N) per event.  Requires d=1, dstar=2 and a
+    zero or uniform charge.  Returns (times, current series, PhaseState at
+    times[-1]).
     """
     spec = s0.spec
-    if t_end <= 0:
-        raise SpecError("t_end must be > 0")
-    if dt_out <= 0 or dt_out > t_end:
-        raise SpecError("dt_out must be in (0, t_end]")
     tables = kn.mode_tables(spec)
-    ev_times, triples, _ = draw_events(spec, t_end, seed, index)
-    n_out = int(np.floor(t_end / dt_out + 1e-9)) + 1
-    aF, aW = kn.state_to_polarized(s0)
-    (aF, aW), series = kn.run_loop(
-        aF, aW, None, None, ev_times, triples, t_end, dt_out, n_out, tables)
-    final = kn.polarized_to_state(spec, aF, aW, time=(n_out - 1) * dt_out)
-    return np.arange(n_out) * dt_out, series, final
+    times, ev_times, triples = _schedule(spec, t_end, dt_out, seed, index)
+    block = FourierBlock(spec)
+    modes = block.modes(s0)
+    series = np.empty(len(times))
+    kn.run_loop(tables["dphase"], modes, block._tab["Vinv"][:, 1, 0],
+                block._half_b[0], ev_times, triples, series, dt_out,
+                len(times))
+    (pos,), (vel,) = modes.states(np.zeros(1))
+    return times, series, PhaseState(spec, pos, vel, float(times[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,11 @@ class SpecError(ValueError):
     """Invalid model description."""
 
 
+class QuadratureError(SpecError):
+    """A quadrature missed its tolerance: the closed-form refinement in
+    ``spectral`` or the adaptive current quadrature in ``dynamics``."""
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     d: int

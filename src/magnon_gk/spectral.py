@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class QuadratureError(RuntimeError):
-    """A quadrature failed to reach its requested tolerance."""
+from .lattice import QuadratureError
 
 
 class ComplexRootRegime(RuntimeError):

@@ -3,10 +3,12 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import kstest
 
-from magnon_gk.lattice import (LatticeSpec, bond_currents, conserved_snapshot,
-                               total_current, total_energy)
+from magnon_gk.lattice import (LatticeSpec, PhaseState, bond_currents,
+                               conserved_snapshot, total_current,
+                               total_energy)
 from magnon_gk import _kernels as kn
 from magnon_gk import dynamics as dy
+from magnon_gk import spectral as sp
 from magnon_gk.observables import drift_matrix
 from magnon_gk.rng import stream
 from magnon_gk.sampling import sample_canonical, sample_microcanonical
@@ -242,11 +244,15 @@ def test_simulate_replay_is_bitwise():
     assert not np.array_equal(t1.vel, t3.vel)
 
 
-@pytest.mark.parametrize("spec,key", [(UNIFORM, 0), (DEFORM, 1), (ALT, 2)])
+@pytest.mark.parametrize("spec,key", [(UNIFORM, 0), (DEFORM, 1), (ALT, 2),
+                                      (UNIFORM, 3)])
 def test_conservation_and_continuity(spec, key):
+    # key 3: dt_out does not divide t_end, so the bond integrals must stop
+    # at the last output time (2.8), where the last state is stored
+    t_end, dt_out = (3.0, 0.7) if key == 3 else (10.0, 1.0)
     s0 = (micro_state(spec) if spec.coords == "position"
           else sample_canonical(spec, 1.0, rng=stream(key, "init")))
-    traj = dy.simulate(s0, 10.0, 1.0, seed=key, track="bonds")
+    traj = dy.simulate(s0, t_end, dt_out, seed=key, track="bonds")
     last = len(traj.times) - 1
     e0, e1 = total_energy(traj.state(0)), total_energy(traj.state(last))
     assert abs(e1 - e0) <= 1e-11 * e0
@@ -271,13 +277,16 @@ def stepwise_oracle(s0, t_end, dt_out, seed, backend, track):
     ``propagate`` to each output time and event, ``apply_exchange`` at the
     event, and the adaptive quadrature of ``bond_currents`` along
     ``propagate_batch`` from the segment's start state.  Outputs due at
-    an event time are taken before the event.  Returns (output states,
-    cumulative det_current, bond_det at t_end)."""
+    an event time are taken before the event, and the run stops at the
+    last output time.  Returns (output states, cumulative det_current,
+    bond_det at the last output time)."""
     spec = s0.spec
     ev_times, triples, _ = dy.draw_events(spec, t_end, seed)
     n_out = int(np.floor(t_end / dt_out + 1e-9)) + 1
+    t_stop = (n_out - 1) * dt_out
     marks = sorted([(o * dt_out, 0, o) for o in range(1, n_out)]
-                   + [(t, 1, i) for i, t in enumerate(ev_times)])
+                   + [(t, 1, i) for i, t in enumerate(ev_times)
+                      if t <= t_stop])
     state = s0.copy()
     state.time = 0.0
     det = np.zeros(spec.d)
@@ -305,7 +314,7 @@ def stepwise_oracle(s0, t_end, dt_out, seed, backend, track):
         else:
             j, a, x = dy.decode_triple(spec, triples[k])
             state, _ = dy.apply_exchange(state, j, x, a)
-    advance(state, t_end)
+    advance(state, t_stop)
     return states, np.array(dets), bond_det
 
 
@@ -378,10 +387,31 @@ def test_quadrature_depth_cap_is_loud():
         return (taus > 0.3).astype(float)[:, None]
     with pytest.raises(dy.QuadratureError, match="depth 14"):
         dy._adaptive_integral(step, 0.0, 1.0, 1e-13)
+    # one error class for the closed forms and the current quadrature
+    assert sp.QuadratureError is dy.QuadratureError
     assert issubclass(dy.QuadratureError, dy.SpecError)
+    with pytest.raises(dy.QuadratureError, match="laplace_micro"):
+        sp.laplace_micro(0.5, 1, 2, 1.0, 1.0, 1.0, n=8, tol=1e-15)
     smooth = dy._adaptive_integral(lambda t: np.cos(t)[:, None], 0.0, 2.0,
                                    1e-13)
     assert abs(smooth[0] - np.sin(2.0)) < 1e-13
+
+
+@pytest.mark.parametrize("spec,kind", [(spec, kind) for spec, kind
+                                       in ORACLE_CASES if kind == "fourier"])
+def test_current_matches_total_current(spec, kind):
+    s = oracle_state(spec, 47)
+    modes = dy.FourierBlock(spec).modes(s)
+    t = 0.0
+    for tau in (0.0, 0.4, 2.5):
+        modes.advance(tau - t)
+        t = tau
+        (pos,), (vel,) = modes.states(np.zeros(1))
+        state = PhaseState(spec, pos, vel, tau)
+        ref = np.array([total_current(state, a) for a in range(spec.d)])
+        got = modes.current()
+        assert got.shape == (spec.d,)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("spec,kind", [(UNIFORM, "fourier"), (ALT, "dense")])
