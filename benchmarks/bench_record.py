@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Record a BENCH file: the perfbench workloads over a few seeds.
 
-    python3 benchmarks/bench_record.py TAG [--seeds 3]
+    python3 benchmarks/bench_record.py TAG
 
 Runs ``perfbench/run.py --workload W --seed S --trace 0`` for every workload
-of BENCHMARK.json and seeds 0 .. seeds-1, with the run length BENCHMARK.json
+of BENCHMARK.json and seeds 0 .. SEEDS-1, with the run length BENCHMARK.json
 sets.  Writes ``benchmarks/BENCH_<TAG>.json`` with the environment (python,
 numpy, scipy, cores, thread variables), the commit measured, every result
 line and, per workload and end-to-end metric, the median and quartiles over
@@ -27,6 +27,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT_DIR = os.path.join(ROOT, "benchmarks")
 SCHEMA = "bench-record-1"
+SEEDS = 3
 ENV_KEYS = ("python", "numpy", "scipy", "machine", "nproc", "cpus_usable",
             "MAGNON_GK_THREADS", "threads")
 
@@ -92,11 +93,7 @@ def print_diff(old: dict, new: dict, bounds: dict, old_name: str):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("tag", help="names the file BENCH_<tag>.json")
-    ap.add_argument("--seeds", type=int, default=3,
-                    help="runs per workload, on seeds 0 .. seeds-1")
     args = ap.parse_args()
-    if args.seeds < 1:
-        ap.error("--seeds must be >= 1")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     seconds = float(bench["run_seconds"])
@@ -106,7 +103,7 @@ def main() -> int:
 
     env, runs = None, []
     for wl in workloads:
-        for seed in range(args.seeds):
+        for seed in range(SEEDS):
             env, line = run_perfbench(wl, seed, seconds)
             runs.append({"workload": wl, "seed": seed, "result": line})
             print(f"{wl} seed {seed}: "

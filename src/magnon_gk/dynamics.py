@@ -410,7 +410,7 @@ class Trajectory:
     spec: LatticeSpec
     seed: int
     index: int
-    t_end: float
+    t_end: float               # as requested; the run stops at times[-1]
     dt_out: float
     times: np.ndarray          # (n_out,)
     pos: np.ndarray            # (n_out, dstar, nsites)
@@ -519,7 +519,7 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
 
 
 def continuity_residual(traj: Trajectory) -> float:
-    """Max per-site defect of E_x(t_end) - E_x(0) vs accumulated bond flow."""
+    """Max per-site defect of E_x(times[-1]) - E_x(0) vs the bond flow."""
     if traj.bond_det is None:
         raise SpecError("trajectory was not run with track='bonds'")
     spec = traj.spec
