@@ -10,8 +10,9 @@ numpy, scipy, cores, thread variables), the commit measured, every result
 line and, per workload and end-to-end metric, the median and quartiles over
 the seeds.  Then prints the change of each median against the newest BENCH
 file committed to git, marking a metric that is worse by more than its
-BENCHMARK.json bound.  Imports no numpy, so that the perfbench workers pin
-their thread pools before numpy loads.
+BENCHMARK.json bound, and that file's ``note``, if it has one.  The diff
+is of unpaired medians and so only advisory.  Imports no numpy, so that the
+perfbench workers pin their thread pools before numpy loads.
 """
 
 from __future__ import annotations
@@ -74,7 +75,11 @@ def newest_committed(exclude: str) -> str | None:
 
 
 def print_diff(old: dict, new: dict, bounds: dict, old_name: str):
-    print(f"against {old_name} ({old.get('commit', '?')[:12]}):")
+    print(f"against {old_name} ({old.get('commit', '?')[:12]}); unpaired "
+          "medians, so advisory: a regression check needs alternating "
+          "parent/change pairs")
+    if old.get("note"):
+        print(f"  note on {old_name}: {old['note']}")
     for wl, metrics in new["summary"].items():
         for name, cur in metrics.items():
             prev = old.get("summary", {}).get(wl, {}).get(name)
