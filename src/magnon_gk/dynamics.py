@@ -29,8 +29,8 @@ import numpy as np
 
 from . import _kernels as kn
 from .lattice import (LatticeSpec, PhaseState, QuadratureError, SpecError,
-                      bond_currents, neighbor_tables, site_energies,
-                      site_index)
+                      bond_currents, neighbor_tables, site_coords,
+                      site_energies, site_index)
 from .observables import drift_matrix, total_current_observable
 from .rng import stream
 
@@ -97,7 +97,7 @@ class FourierBlock(_Exact):
         # exchanges: the integer wavevectors k (row-major; the same array
         # holds the site coordinates) and e^{2πik_a/N} per direction, so that
         # the phase row e^{2πik·x/N} of a site is one lookup in a root table
-        self._k = np.indices(self._grid).reshape(spec.d, -1).T.copy()
+        self._k = site_coords(spec)
         self._root = np.exp(2j * np.pi * np.arange(spec.n) / spec.n)
         self._step = self._root[self._k.T]
         # total current J_a = Re sum_k w_a(k) F conj(W) per channel.  In

@@ -128,6 +128,22 @@ def neighbor_tables(spec: LatticeSpec):
     return _neighbor_tables_cached(spec.n, spec.d)
 
 
+@lru_cache(maxsize=64)
+def _site_coords_cached(n: int, d: int):
+    coords = np.stack(np.unravel_index(np.arange(n ** d), (n,) * d), axis=-1)
+    coords.setflags(write=False)
+    return coords
+
+
+def site_coords(spec: LatticeSpec) -> np.ndarray:
+    """Lattice point of every site index: shape (nsites, d), row-major.
+
+    The same integers are the wavevectors of the modes in FFT order.  The
+    returned array is cached and read-only.
+    """
+    return _site_coords_cached(spec.n, spec.d)
+
+
 @dataclass
 class PhaseState:
     spec: LatticeSpec
@@ -197,11 +213,7 @@ def currents_all(state: PhaseState, a: int = 0):
     """(ja, js) arrays over all bonds (x, x+e_a), indexed by left site x."""
     spec = state.spec
     ja = bond_currents(spec, state.pos, state.vel)[a]
-    if spec.coords == "position":
-        plus, _ = neighbor_tables(spec)
-        vplus = state.vel[:, plus[a]]
-    else:
-        vplus = np.roll(state.vel, -1, axis=1)
+    vplus = state.vel[:, neighbor_tables(spec)[0][a]]
     js = -0.5 * spec.gamma * np.sum(vplus ** 2 - state.vel ** 2, axis=0)
     return ja, js
 

@@ -1,9 +1,10 @@
 """Degree-2 observables and the exact action of the evolution generators.
 
 An observable is ``u(z) = z^T K z + b.z + c`` over the flattened coordinate
-vector ``z = (pos ‖ vel)``.  The full generator is ``L = A + B G + gamma S``
-where A (+ the field term B G) is a linear drift and S is the sum over bonds
-and components of velocity swaps.  Both map degree-2 observables to degree-2
+vector ``z = (pos ‖ vel)``.  The generator is ``L = drift + gamma S``: the
+drift is the linear flow of a drift matrix (``drift_matrix``, A + B G for the
+harmonic part A and the field term B G) and S is the sum over bonds and
+components of velocity swaps.  Both map degree-2 observables to degree-2
 observables exactly, which makes this module the brute-force oracle for every
 resolvent identity: no discretization, no sampling.
 
@@ -65,32 +66,17 @@ class QuadraticObservable:
     def __sub__(self, other):
         return self + (-1.0) * other
 
+    def add_sym(self, rows, cols, block):
+        """Add block/2 at (rows, cols) and its transpose at (cols, rows)."""
+        self.kernel[rows, cols] += 0.5 * block
+        self.kernel[cols, rows] += 0.5 * block.T
+
 
 def eval_observable(u: QuadraticObservable, s: PhaseState) -> float:
     if s.spec != u.spec:
         raise SpecError("spec mismatch")
     z = s.flatten()
     return float(z @ u.kernel @ z + u.linear @ z + u.constant)
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    variant: str  # micro | canonical-0 | canonical-i | canonical-ii
-    b: float
-    gamma: float
-
-    @classmethod
-    def for_spec(cls, spec: LatticeSpec) -> "GeneratorSpec":
-        if spec.coords == "position":
-            variant = "micro"
-        else:
-            variant = {"zero": "canonical-0", "uniform": "canonical-i",
-                       "alternate": "canonical-ii"}[spec.charge]
-        return cls(variant, spec.b, spec.gamma)
-
-    def check(self, spec: LatticeSpec):
-        if self != GeneratorSpec.for_spec(spec) or self.gamma != spec.gamma:
-            raise SpecError("generator variant inconsistent with spec")
 
 
 def harmonic_drift_matrix(spec: LatticeSpec) -> np.ndarray:
@@ -193,19 +179,17 @@ def apply_swap_sum(u: QuadraticObservable) -> QuadraticObservable:
 
 
 def apply_generator(u: QuadraticObservable,
-                    g: GeneratorSpec) -> QuadraticObservable:
-    """L u = (A + B G) u + gamma S u, exactly."""
-    g.check(u.spec)
-    M = drift_matrix(u.spec)
-    return apply_drift(u, M) + g.gamma * apply_swap_sum(u)
+                    drift: np.ndarray) -> QuadraticObservable:
+    """L u = drift u + gamma S u, exactly, with gamma of u's spec."""
+    return apply_drift(u, drift) + u.spec.gamma * apply_swap_sum(u)
 
 
 def residual_norm(lam: float, u: QuadraticObservable,
-                  rhs: QuadraticObservable, g: GeneratorSpec) -> float:
+                  rhs: QuadraticObservable, drift: np.ndarray) -> float:
     """Size of (lam - L)u - rhs: kernel Frobenius + linear + constant parts."""
     if lam <= 0:
         raise SpecError("lam must be > 0")
-    res = lam * u - apply_generator(u, g) - rhs
+    res = lam * u - apply_generator(u, drift) - rhs
     return (float(np.linalg.norm(res.kernel))
             + float(np.linalg.norm(res.linear)) + abs(res.constant))
 
@@ -232,30 +216,29 @@ def total_energy_observable(spec: LatticeSpec) -> QuadraticObservable:
     return u
 
 
+def _add_bond_current(u: QuadraticObservable, x, a: int):
+    """Add the deterministic current across the bond (x, x+e_a) to u, for a
+    site index x or an array of them: -1/2 sum_j (q_y - q_x)(v_x + v_y), or
+    -1/2 sum_j r_x (v_x + v_y) in deformation coords, with y = x + e_a."""
+    spec = u.spec
+    ns, ds = spec.nsites, spec.dstar
+    x = np.atleast_1d(x)
+    y = neighbor_tables(spec)[0][a][x]
+    comp = np.arange(ds)[:, None] * ns
+    if spec.coords == "position":
+        pos = ((comp + y, -0.25), (comp + x, 0.25))
+    else:
+        pos = ((comp + x, -0.25),)
+    for p, c in pos:
+        for v in (ds * ns + comp + x, ds * ns + comp + y):
+            np.add.at(u.kernel, (p, v), c)
+            np.add.at(u.kernel, (v, p), c)
+
+
 def total_current_observable(spec: LatticeSpec, a: int = 0) -> QuadraticObservable:
     """Sum over bonds of the deterministic energy current in direction a."""
     u = QuadraticObservable.zeros(spec)
-    ns, ds = spec.nsites, spec.dstar
-    plus, _ = neighbor_tables(spec)
-
-    def add_qv(p, v, coef):
-        u.kernel[p, v] += 0.5 * coef
-        u.kernel[v, p] += 0.5 * coef
-
-    for j in range(ds):
-        for i in range(ns):
-            if spec.coords == "position":
-                p0, p1 = j * ns + i, j * ns + plus[a][i]
-                v0, v1 = ds * ns + p0, ds * ns + p1
-                for p, sp in ((p1, 1.0), (p0, -1.0)):
-                    for v in (v0, v1):
-                        add_qv(p, v, -0.5 * sp)
-            else:
-                p0 = j * ns + i
-                v0 = ds * ns + j * ns + i
-                v1 = ds * ns + j * ns + (i + 1) % ns
-                add_qv(p0, v0, -0.5)
-                add_qv(p0, v1, -0.5)
+    _add_bond_current(u, np.arange(spec.nsites), a)
     return u
 
 
@@ -269,23 +252,7 @@ def bond_current_observable(spec: LatticeSpec, x: int = 0,
                             a: int = 0) -> QuadraticObservable:
     """Deterministic current across the single bond (x, x+e_a)."""
     u = QuadraticObservable.zeros(spec)
-    ns, ds = spec.nsites, spec.dstar
-    plus, _ = neighbor_tables(spec)
-
-    def add_qv(p, v, coef):
-        u.kernel[p, v] += 0.5 * coef
-        u.kernel[v, p] += 0.5 * coef
-
-    for j in range(ds):
-        if spec.coords == "position":
-            p0, p1 = j * ns + x, j * ns + plus[a][x]
-            for p, sp in ((p1, 1.0), (p0, -1.0)):
-                for v in (ds * ns + p0, ds * ns + p1):
-                    add_qv(p, v, -0.5 * sp)
-        else:
-            p0 = j * ns + x
-            add_qv(p0, ds * ns + p0, -0.5)
-            add_qv(p0, ds * ns + j * ns + (x + 1) % ns, -0.5)
+    _add_bond_current(u, x, a)
     return u
 
 

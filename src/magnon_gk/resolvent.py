@@ -14,9 +14,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .lattice import LatticeSpec, SpecError
+from .lattice import LatticeSpec, SpecError, site_coords
 from .observables import (
-    GeneratorSpec, QuadraticObservable, apply_drift, apply_swap_sum,
+    QuadraticObservable, drift_matrix, field_generator_matrix,
     harmonic_drift_matrix, residual_norm, total_current_observable,
 )
 
@@ -146,15 +146,10 @@ def alternate_kernels(n: int, lam: float, b: float,
 
 def _diff_table(spec: LatticeSpec) -> np.ndarray:
     """Index table t[x, y] = site index of (x - y) mod N."""
-    n, d, ns = spec.n, spec.d, spec.nsites
-    coords = np.stack(np.unravel_index(np.arange(ns), (n,) * d), axis=-1)
+    n, d = spec.n, spec.d
+    coords = site_coords(spec)
     diff = (coords[:, None, :] - coords[None, :, :]) % n
     return np.ravel_multi_index(np.moveaxis(diff, -1, 0), (n,) * d)
-
-
-def _shape_spec(spec: LatticeSpec) -> LatticeSpec:
-    """Position-coordinate spec of the same size, zero charge (shape only)."""
-    return replace(spec, coords="position", charge="zero")
 
 
 def position_observable(spec: LatticeSpec, lam: float) -> QuadraticObservable:
@@ -165,81 +160,54 @@ def position_observable(spec: LatticeSpec, lam: float) -> QuadraticObservable:
     """
     if lam <= 0:
         raise SpecError("lam must be > 0")
-    shape = _shape_spec(spec)
-    u = QuadraticObservable.zeros(shape)
+    u = QuadraticObservable.zeros(replace(spec, coords="position",
+                                          charge="zero"))
     ns, ds, n, d = spec.nsites, spec.dstar, spec.n, spec.d
-    tbl = _diff_table(shape)
+    tbl = _diff_table(spec)
     P = lambda j: slice(j * ns, (j + 1) * ns)
     V = lambda j: slice(ds * ns + j * ns, ds * ns + (j + 1) * ns)
-
-    def add(rows, cols, gmat):
-        u.kernel[rows, cols] += 0.5 * gmat
-        u.kernel[cols, rows] += 0.5 * gmat.T
-
     if spec.charge == "zero":
         G = scalar_kernel(n, d, lam, spec.gamma)[tbl]
         for j in range(ds):
-            add(P(j), V(j), G)
+            u.add_sym(P(j), V(j), G)
     elif spec.charge == "uniform":
         g1, g2, g3, g4 = (g[tbl] for g in
                           uniform_kernels(n, d, lam, spec.b, spec.gamma))
-        add(P(0), P(1), g1)
-        add(P(0), V(0), g2)
-        add(P(1), V(1), g2)
-        add(P(0), V(1), g3)
-        add(P(1), V(0), -g3)
-        add(V(0), V(1), g4)
+        u.add_sym(P(0), P(1), g1)
+        u.add_sym(P(0), V(0), g2)
+        u.add_sym(P(1), V(1), g2)
+        u.add_sym(P(0), V(1), g3)
+        u.add_sym(P(1), V(0), -g3)
+        u.add_sym(V(0), V(1), g4)
         if ds > 2:
             G = scalar_kernel(n, d, lam, spec.gamma)[tbl]
             for j in range(2, ds):
-                add(P(j), V(j), G)
+                u.add_sym(P(j), V(j), G)
     else:  # alternate
         h1, h2, h3, h4 = (h[tbl] for h in
                           alternate_kernels(n, lam, spec.b, spec.gamma))
         sy = (-1.0) ** np.arange(n)  # (-1)^y column weights
-        add(P(0), P(1), h1 * sy)
-        add(V(0), V(1), h2 * sy)
-        add(P(0), V(0), h3)
-        add(P(1), V(1), h3)
-        add(P(0), V(1), h4 * sy)
-        add(P(1), V(0), -h4 * sy)
+        u.add_sym(P(0), P(1), h1 * sy)
+        u.add_sym(V(0), V(1), h2 * sy)
+        u.add_sym(P(0), V(0), h3)
+        u.add_sym(P(1), V(1), h3)
+        u.add_sym(P(0), V(1), h4 * sy)
+        u.add_sym(P(1), V(0), -h4 * sy)
     return u
-
-
-def _alternate_field_matrix(shape: LatticeSpec) -> np.ndarray:
-    """Velocity rotation G with charges (-1)^x, as a dense drift matrix."""
-    ns, ds = shape.nsites, shape.dstar
-    m = np.zeros((shape.flat_size, shape.flat_size))
-    c = (-1.0) ** np.arange(ns)
-    for i in range(ns):
-        m[ds * ns + i, ds * ns + ns + i] = c[i]
-        m[ds * ns + ns + i, ds * ns + i] = -c[i]
-    return m
 
 
 def position_residual(spec: LatticeSpec, lam: float) -> float:
     """Residual of (lam - L)u = sum_x j^a in (q, v) coordinates.
 
-    L carries the charge pattern of ``spec`` even though the observable is
-    stored on a zero-charge shape spec (the alternate pattern has no
-    position-coordinate LatticeSpec of its own).
+    u is stored on a zero-charge position spec; L carries the charge pattern
+    of ``spec`` through its field matrix, which depends only on the charges
+    and sizes (the alternate pattern has no position-coordinate LatticeSpec
+    of its own).
     """
     u = position_observable(spec, lam)
-    shape = u.spec
-    rhs = total_current_observable(shape, 0)
-    if spec.charge == "alternate":
-        M = (harmonic_drift_matrix(shape)
-             + spec.b * _alternate_field_matrix(shape))
-        lu = apply_drift(u, M) + spec.gamma * apply_swap_sum(u)
-        res = lam * u - lu - rhs
-        return (float(np.linalg.norm(res.kernel))
-                + float(np.linalg.norm(res.linear)) + abs(res.constant))
-    if spec.charge == "zero":
-        return residual_norm(lam, u, rhs, GeneratorSpec.for_spec(shape))
-    uni = replace(spec, coords="position", charge="uniform")
-    u2 = QuadraticObservable(uni, u.kernel, u.linear, u.constant)
-    rhs2 = QuadraticObservable(uni, rhs.kernel, rhs.linear, rhs.constant)
-    return residual_norm(lam, u2, rhs2, GeneratorSpec.for_spec(uni))
+    drift = (harmonic_drift_matrix(u.spec)
+             + spec.b * field_generator_matrix(spec))
+    return residual_norm(lam, u, total_current_observable(u.spec, 0), drift)
 
 
 def phi_matrix(spec: LatticeSpec) -> np.ndarray:
@@ -274,11 +242,10 @@ def rbar_vbar_observable(spec: LatticeSpec) -> QuadraticObservable:
     """N * sum_j rbar^j vbar^j as a quadratic observable (deformation)."""
     u = QuadraticObservable.zeros(spec)
     ns, ds = spec.nsites, spec.dstar
+    flat = np.full((ns, ns), 1.0 / ns)
     for j in range(ds):
-        u.kernel[j * ns:(j + 1) * ns,
-                 ds * ns + j * ns:ds * ns + (j + 1) * ns] += 0.5 / ns
-        u.kernel[ds * ns + j * ns:ds * ns + (j + 1) * ns,
-                 j * ns:(j + 1) * ns] += 0.5 / ns
+        u.add_sym(slice(j * ns, (j + 1) * ns),
+                  slice(ds * ns + j * ns, ds * ns + (j + 1) * ns), flat)
     return u
 
 
@@ -289,46 +256,32 @@ def vstarstar(spec: LatticeSpec, lam: float) -> QuadraticObservable:
     ns, ds = spec.nsites, spec.dstar
     b, gamma = spec.b, spec.gamma
     u = QuadraticObservable.zeros(spec)
-    ones = np.ones(ns)
-    alt = (-1.0) ** np.arange(ns)
-
-    def add_pair(jr, jv, coef, vel_weights=None, pos_weights=None):
-        # coef * (1/N) * (sum_x wr r_x^jr)(sum_y wv v_y^jv)
-        wr = ones if pos_weights is None else pos_weights
-        wv = ones if vel_weights is None else vel_weights
-        rows = slice(jr * ns, (jr + 1) * ns)
-        cols = slice(ds * ns + jv * ns, ds * ns + (jv + 1) * ns)
-        blk = 0.5 * coef / ns * np.outer(wr, wv)
-        u.kernel[rows, cols] += blk
-        u.kernel[cols, rows] += blk.T
-
-    def add_rr(j1, j2, coef, w2):
-        rows = slice(j1 * ns, (j1 + 1) * ns)
-        cols = slice(j2 * ns, (j2 + 1) * ns)
-        blk = 0.5 * coef / ns * np.outer(ones, w2)
-        u.kernel[rows, cols] += blk
-        u.kernel[cols, rows] += blk.T
-
+    R = lambda j: slice(j * ns, (j + 1) * ns)
+    V = lambda j: slice(ds * ns + j * ns, ds * ns + (j + 1) * ns)
+    # coef * flat at (rows of f, columns of g) adds coef/N (sum_x f_x)(sum_y
+    # g_y) to u; alt weighs the second sum by (-1)^y
+    flat = np.full((ns, ns), 1.0 / ns)
+    alt = flat * (-1.0) ** np.arange(ns)
     if spec.charge == "zero":
         for j in range(ds):
-            add_pair(j, j, 1.0 / lam)
+            u.add_sym(R(j), V(j), 1.0 / lam * flat)
     elif spec.charge == "uniform":
         # overall sign fixed against the defining equation (the B=0 limit
         # must agree with the zero-charge form)
         den = lam * lam + b * b
-        add_pair(0, 0, lam / den)
-        add_pair(1, 0, -b / den)
-        add_pair(0, 1, b / den)
-        add_pair(1, 1, lam / den)
+        u.add_sym(R(0), V(0), lam / den * flat)
+        u.add_sym(R(1), V(0), -b / den * flat)
+        u.add_sym(R(0), V(1), b / den * flat)
+        u.add_sym(R(1), V(1), lam / den * flat)
     else:  # alternate
         p = lam * lam + 4.0 * gamma * lam + 4.0
         den = lam * (p + b * b)
-        add_pair(0, 0, p / den)
-        add_pair(1, 0, -b * lam / den, vel_weights=alt)
-        add_pair(0, 1, b * lam / den, vel_weights=alt)
-        add_pair(1, 1, p / den)
-        add_rr(0, 1, 2.0 * b / den, alt)
-        add_rr(1, 0, -2.0 * b / den, alt)
+        u.add_sym(R(0), V(0), p / den * flat)
+        u.add_sym(R(1), V(0), -b * lam / den * alt)
+        u.add_sym(R(0), V(1), b * lam / den * alt)
+        u.add_sym(R(1), V(1), p / den * flat)
+        u.add_sym(R(0), R(1), 2.0 * b / den * alt)
+        u.add_sym(R(1), R(0), -2.0 * b / den * alt)
     return u
 
 
@@ -354,12 +307,12 @@ def certify_reduction(spec: LatticeSpec, lam: float) -> dict:
         sl = slice(j * ns, (j + 1) * ns)
         row = max(row, float(np.linalg.norm(uq.kernel[sl].sum(axis=0))),
                   abs(float(uq.linear[sl].sum())))
-    gen = GeneratorSpec.for_spec(spec)
+    drift = drift_matrix(spec)
     rhs_star = (total_current_observable(spec, 0)
                 + rbar_vbar_observable(spec))
-    push = residual_norm(lam, build_u(spec, lam), rhs_star, gen)
+    push = residual_norm(lam, build_u(spec, lam), rhs_star, drift)
     vss = residual_norm(lam, vstarstar(spec, lam),
-                        rbar_vbar_observable(spec), gen)
+                        rbar_vbar_observable(spec), drift)
     report = {
         "spec": spec.to_json(), "lambda": lam,
         "row_sum": row, "qv_residual": position_residual(spec, lam),

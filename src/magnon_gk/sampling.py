@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import mode_coupling
-from .lattice import LatticeSpec, PhaseState, SpecError
+from .lattice import (LatticeSpec, PhaseState, SpecError, site_coords,
+                      site_index)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -32,10 +33,10 @@ def _mode_classes(spec: LatticeSpec):
     ``pairs`` are modes with xi != -xi (stored with their partner index);
     ``selfs`` are the self-conjugate modes (2 xi = 0 mod N, xi != 0).
     """
-    n, d, ns = spec.n, spec.d, spec.nsites
-    idx = np.arange(ns)
-    coords = np.stack(np.unravel_index(idx, (n,) * d), axis=-1)
-    neg = np.ravel_multi_index(np.moveaxis((-coords) % n, -1, 0), (n,) * d)
+    n, d = spec.n, spec.d
+    idx = np.arange(spec.nsites)
+    neg = np.ravel_multi_index(np.moveaxis((-site_coords(spec)) % n, -1, 0),
+                               (n,) * d)
     pairs = idx[(idx < neg)]
     selfs = idx[(idx == neg) & (idx != 0)]
     return pairs, neg[pairs], selfs
@@ -129,12 +130,11 @@ def _coefficient_vector(spec: LatticeSpec, kind: str, j: int,
     The field value is a linear form in the sphere coordinates; this returns
     its coefficient vector in the same layout the sampler consumes.
     """
-    ns, ds, n, d = spec.nsites, spec.dstar, spec.n, spec.d
+    ns, ds, n = spec.nsites, spec.dstar, spec.n
     pairs, _, selfs = _mode_classes(spec)
     omega = _omega_n(spec)
-    coords = np.stack(np.unravel_index(np.arange(ns), (n,) * d), axis=-1)
     x = np.atleast_1d(np.asarray(x)) % n
-    phase = 2 * np.pi * (coords @ x) / n  # 2 pi xi . x / N
+    phase = 2 * np.pi * (site_coords(spec) @ x) / n  # 2 pi xi . x / N
     npair, nself = len(pairs), len(selfs)
     per = 4 * npair + 2 * nself
     out = np.zeros(ds * per)
@@ -189,8 +189,8 @@ def microcanonical_moments(spec: LatticeSpec, e: float, x=None) -> dict:
 
 def lemma_fourier_sum(spec: LatticeSpec, e: float, x) -> float:
     """Asymptotic form of the qqvv moment: the explicit wavenumber sum."""
-    n, d, ns = spec.n, spec.d, spec.nsites
-    coords = np.stack(np.unravel_index(np.arange(ns), (n,) * d), axis=-1)
+    n, ns = spec.n, spec.nsites
+    coords = site_coords(spec)
     x = np.atleast_1d(np.asarray(x))
     num = (np.sin(2 * np.pi * (coords @ x) / n)
            * np.sin(2 * np.pi * coords[:, 0] / n))
@@ -205,7 +205,6 @@ def ensemble_checks(spec: LatticeSpec, e: float, samples: int,
     if x is None:
         x = np.zeros(spec.d, dtype=int)
         x[0] = 1
-    from .lattice import site_index
     ix = site_index(spec, x)
     imx = site_index(spec, -np.atleast_1d(np.asarray(x)))
     e1 = np.zeros(spec.d, dtype=int)

@@ -1,0 +1,47 @@
+"""Unit tests of benchmarks/bench_record.py's summary and diff."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location(
+    "bench_record", ROOT / "benchmarks" / "bench_record.py")
+br = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(br)
+
+BOUNDS = {m["name"]: (m["better"], m["bound"]) for m in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+def test_spread_median_and_quartiles():
+    assert br.spread([5.0, 1.0, 3.0, 2.0, 4.0]) == {
+        "median": 3.0, "q1": 2.0, "q3": 4.0, "n": 5}
+    assert br.spread([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0, "n": 1}
+
+
+def record(ops, wall):
+    return {"commit": "0" * 40, "summary": {"w": {
+        "ops_per_s": br.spread([ops]), "wall_s": br.spread([wall])}}}
+
+
+def diff_lines(capsys, new):
+    br.print_diff(record(100.0, 1.0), new, BOUNDS, "BENCH_old.json")
+    out = capsys.readouterr().out.splitlines()
+    return {name: line for line in out for name in ("ops_per_s", "wall_s")
+            if f" {name} " in line}
+
+
+def test_diff_flags_losses_beyond_the_bound(capsys):
+    lines = diff_lines(capsys, record(70.0, 1.3))
+    assert "-30.0%" in lines["ops_per_s"] and "WORSE" in lines["ops_per_s"]
+    assert "+30.0%" in lines["wall_s"] and "WORSE" in lines["wall_s"]
+
+
+@pytest.mark.parametrize("ops, wall", [(130.0, 0.7), (90.0, 1.1)])
+def test_diff_does_not_flag_gains_or_small_losses(capsys, ops, wall):
+    lines = diff_lines(capsys, record(ops, wall))
+    assert set(lines) == {"ops_per_s", "wall_s"}
+    assert not any("WORSE" in line for line in lines.values())

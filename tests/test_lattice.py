@@ -4,7 +4,8 @@ import pytest
 from magnon_gk.lattice import (
     LatticeSpec, PhaseState, SpecError, conserved_snapshot, currents_all,
     instantaneous_current, neighbor_tables, q_to_r, r_to_q, site_energies,
-    site_energy, site_index, total_current, total_energy, zero_state,
+    site_coords, site_energy, site_index, total_current, total_energy,
+    zero_state,
 )
 
 
@@ -211,6 +212,9 @@ def test_site_index_row_major():
     spec = LatticeSpec(d=2, dstar=2, n=5, b=0.0, gamma=1.0)
     assert site_index(spec, (1, 2)) == 7
     assert site_index(spec, (-1, 0)) == 20  # periodic wrap
+    coords = site_coords(spec)
+    assert coords.shape == (25, 2) and not coords.flags.writeable
+    assert [site_index(spec, x) for x in coords] == list(range(25))
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -3,10 +3,10 @@ import pytest
 
 from magnon_gk.lattice import LatticeSpec, PhaseState
 from magnon_gk.observables import (
-    GeneratorSpec, QuadraticObservable, apply_drift, apply_generator,
-    apply_swap_sum, drift_matrix, eval_observable, field_generator_matrix,
-    linear_observable, residual_norm, swap_pairs, total_current_observable,
-    total_energy_observable,
+    QuadraticObservable, apply_drift, apply_generator, apply_swap_sum,
+    bond_current_observable, drift_matrix, eval_observable,
+    field_generator_matrix, linear_observable, residual_norm, swap_pairs,
+    total_current_observable, total_energy_observable,
 )
 
 SPECS = [
@@ -93,8 +93,7 @@ def test_drift_matches_finite_difference_flow(spec):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_generator_annihilates_total_energy(spec):
-    g = GeneratorSpec.for_spec(spec)
-    lu = apply_generator(total_energy_observable(spec), g)
+    lu = apply_generator(total_energy_observable(spec), drift_matrix(spec))
     assert np.linalg.norm(lu.kernel) < 1e-12
     assert np.linalg.norm(lu.linear) < 1e-12
 
@@ -127,11 +126,11 @@ def test_swap_of_single_site_velocity_square():
 
 def test_generator_is_linear():
     spec = SPECS[4]
-    g = GeneratorSpec.for_spec(spec)
+    M = drift_matrix(spec)
     rng = np.random.default_rng(8)
     u, w = random_obs(spec, rng), random_obs(spec, rng)
-    lhs = apply_generator(2.5 * u + (-1.25) * w, g)
-    rhs = 2.5 * apply_generator(u, g) + (-1.25) * apply_generator(w, g)
+    lhs = apply_generator(2.5 * u + (-1.25) * w, M)
+    rhs = 2.5 * apply_generator(u, M) + (-1.25) * apply_generator(w, M)
     assert np.allclose(lhs.kernel, rhs.kernel, atol=1e-10)
     assert np.allclose(lhs.linear, rhs.linear, atol=1e-10)
 
@@ -144,8 +143,7 @@ def test_pseudomomentum_annihilated_by_micro_generator():
         vec = np.zeros(spec.flat_size)
         vec[ds * ns + j * ns: ds * ns + (j + 1) * ns] = 1.0
         vec[(1 - j) * ns: (2 - j) * ns] = sgn * b
-        lu = apply_generator(linear_observable(spec, vec),
-                             GeneratorSpec.for_spec(spec))
+        lu = apply_generator(linear_observable(spec, vec), drift_matrix(spec))
         assert np.linalg.norm(lu.linear) < 1e-12
         assert np.linalg.norm(lu.kernel) < 1e-12
 
@@ -153,13 +151,13 @@ def test_pseudomomentum_annihilated_by_micro_generator():
 def test_alternate_invariants_annihilated():
     spec = SPECS[5]
     ns, ds = spec.nsites, spec.dstar
-    g = GeneratorSpec.for_spec(spec)
+    M = drift_matrix(spec)
     even = np.arange(0, ns, 2)
     for j, sgn in ((0, 1.0), (1, -1.0)):
         vec = np.zeros(spec.flat_size)
         vec[ds * ns + j * ns: ds * ns + (j + 1) * ns] = 1.0  # all sites
         vec[(1 - j) * ns + even] = sgn * spec.b
-        lu = apply_generator(linear_observable(spec, vec), g)
+        lu = apply_generator(linear_observable(spec, vec), M)
         assert np.linalg.norm(lu.linear) < 1e-12
         assert np.linalg.norm(lu.kernel) < 1e-12
 
@@ -169,28 +167,27 @@ def test_total_deformation_annihilated():
     ns, ds = spec.nsites, spec.dstar
     vec = np.zeros(spec.flat_size)
     vec[:ns] = 1.0
-    lu = apply_generator(linear_observable(spec, vec),
-                         GeneratorSpec.for_spec(spec))
+    lu = apply_generator(linear_observable(spec, vec), drift_matrix(spec))
     assert np.linalg.norm(lu.linear) < 1e-12
 
 
 def test_residual_norm_zero_case_and_perturbation():
     spec = SPECS[0]
-    g = GeneratorSpec.for_spec(spec)
+    M = drift_matrix(spec)
     zero = QuadraticObservable.zeros(spec)
-    assert residual_norm(1.0, zero, zero, g) == 0.0
+    assert residual_norm(1.0, zero, zero, M) == 0.0
     lam = 2.0
     u = QuadraticObservable.zeros(spec)
     u.kernel[0, 0] = 1e-3
     # (lam - L)u picks up at least lam * the perturbation in Frobenius norm
-    assert residual_norm(lam, u, zero, g) >= lam * 1e-3 - 1e-12
+    assert residual_norm(lam, u, zero, M) >= lam * 1e-3 - 1e-12
 
 
 def test_residual_norm_rejects_nonpositive_lambda():
     spec = SPECS[0]
     zero = QuadraticObservable.zeros(spec)
     with pytest.raises(Exception):
-        residual_norm(0.0, zero, zero, GeneratorSpec.for_spec(spec))
+        residual_norm(0.0, zero, zero, drift_matrix(spec))
 
 
 def test_total_current_observable_matches_pointwise_sum():
@@ -201,6 +198,31 @@ def test_total_current_observable_matches_pointwise_sum():
         s = random_state(spec, rng)
         assert eval_observable(u, s) == pytest.approx(
             total_current(s, 0), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_bond_current_observable_matches_lattice(spec):
+    from magnon_gk.lattice import bond_currents
+    rng = np.random.default_rng(33)
+    states = [random_state(spec, rng) for _ in range(3)]
+    for a in range(spec.d):
+        for x in range(spec.nsites):
+            u = bond_current_observable(spec, x, a)
+            for s in states:
+                want = bond_currents(spec, s.pos, s.vel)[a, x]
+                assert eval_observable(u, s) == pytest.approx(
+                    want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_total_current_kernel_is_sum_of_bond_kernels(spec):
+    for a in range(spec.d):
+        total = QuadraticObservable.zeros(spec)
+        for x in range(spec.nsites):
+            total = total + bond_current_observable(spec, x, a)
+        u = total_current_observable(spec, a)
+        assert np.array_equal(u.kernel, total.kernel)
+        assert not u.linear.any() and u.constant == 0.0
 
 
 def test_energy_observable_matches_lattice_energy():
@@ -216,7 +238,6 @@ def test_energy_observable_matches_lattice_energy():
 def test_symmetry_of_noise_antisymmetry_of_drift_under_gaussian():
     """E[u Sw] = E[w Su] and E[u Aw] = -E[w Au] for the product Gaussian."""
     spec = SPECS[4]
-    g = GeneratorSpec.for_spec(spec)
     rng = np.random.default_rng(99)
     u, w = random_obs(spec, rng, with_linear=False), \
         random_obs(spec, rng, with_linear=False)
