@@ -47,7 +47,7 @@ class QuadraticObservable:
         m = self.spec.flat_size
         if self.kernel.shape != (m, m) or self.linear.shape != (m,):
             raise SpecError("observable dimensions do not match spec")
-        if not np.allclose(self.kernel, self.kernel.T, atol=1e-12):
+        if np.max(np.abs(self.kernel - self.kernel.T)) > 1e-12:
             raise SpecError("kernel must be symmetric")
 
     def __add__(self, other: "QuadraticObservable") -> "QuadraticObservable":
@@ -150,31 +150,26 @@ def swap_pairs(spec: LatticeSpec):
 
 
 def apply_swap_sum(u: QuadraticObservable) -> QuadraticObservable:
-    """S u = sum over bonds and components of (u after swap) - u."""
-    K = u.kernel
-    n = K.shape[0]
-    Kout = np.zeros_like(K)
-    bout = np.zeros_like(u.linear)
-    for i1, i2 in swap_pairs(u.spec):
-        r1 = K[i1].copy()
-        r2 = K[i2].copy()
-        n1 = r2.copy()
-        n1[i1], n1[i2] = r2[i2], r2[i1]
-        n2 = r1.copy()
-        n2[i1], n2[i2] = r1[i2], r1[i1]
-        d1 = n1 - r1
-        d2 = n2 - r2
-        Kout[i1] += d1
-        Kout[i2] += d2
-        # column updates for the untouched rows (K is symmetric)
-        Kout[:, i1] += d1
-        Kout[:, i2] += d2
-        Kout[i1, i1] -= d1[i1]
-        Kout[i1, i2] -= d2[i1]
-        Kout[i2, i1] -= d1[i2]
-        Kout[i2, i2] -= d2[i2]
-        bout[i1] += u.linear[i2] - u.linear[i1]
-        bout[i2] += u.linear[i1] - u.linear[i2]
+    """S u = sum over bonds and components of (u after swap) - u.
+
+    A swap is z -> P z with P = I - e e^T, e = e_i1 - e_i2, so it changes
+    the kernel by -e v^T - v e^T + (e.v) e e^T with v = K e, and the linear
+    part by -e (e.b).
+    """
+    K, lin = u.kernel, u.linear
+    i1, i2 = np.array(swap_pairs(u.spec)).T
+    v = K[i1] - K[i2]  # v = K e of each pair, as a row (K is symmetric)
+    p = np.arange(len(i1))
+    ev = v[p, i1] - v[p, i2]
+    rows = np.zeros_like(K)
+    np.add.at(rows, i1, v)
+    np.add.at(rows, i2, -v)
+    Kout = -(rows + rows.T)
+    np.add.at(Kout, (np.r_[i1, i2, i1, i2], np.r_[i1, i2, i2, i1]),
+              np.r_[ev, ev, -ev, -ev])
+    eb = lin[i1] - lin[i2]
+    bout = np.zeros_like(lin)
+    np.add.at(bout, np.r_[i1, i2], np.r_[-eb, eb])
     return QuadraticObservable(u.spec, Kout, bout, 0.0)
 
 

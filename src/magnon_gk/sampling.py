@@ -18,6 +18,8 @@ finite N; ``ensemble_checks`` compares Monte Carlo estimates against them.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ._kernels import mode_coupling
@@ -27,24 +29,27 @@ from .lattice import (LatticeSpec, PhaseState, SpecError, site_coords,
 _SQRT2 = np.sqrt(2.0)
 
 
-def _mode_classes(spec: LatticeSpec):
-    """(pairs, selfs): flat indices of {xi,-xi} representatives, xi != 0.
+@lru_cache(maxsize=64)
+def _mode_tables(n: int, d: int):
+    """(pairs, partners, selfs, omega) of the (n, d) lattice, cached and
+    read-only.
 
-    ``pairs`` are modes with xi != -xi (stored with their partner index);
-    ``selfs`` are the self-conjugate modes (2 xi = 0 mod N, xi != 0).
+    ``pairs`` are the flat indices of the {xi,-xi} representatives with
+    xi != -xi, ``partners`` their -xi; ``selfs`` are the self-conjugate modes
+    (2 xi = 0 mod N, xi != 0).  ``omega`` is omega(theta) at each lattice
+    wavenumber (flat, row-major), 0 at xi = 0.
     """
-    n, d = spec.n, spec.d
+    # any spec with this n and d has the same tables
+    spec = LatticeSpec(d=d, dstar=1, n=n, b=0.0, gamma=1.0)
     idx = np.arange(spec.nsites)
     neg = np.ravel_multi_index(np.moveaxis((-site_coords(spec)) % n, -1, 0),
                                (n,) * d)
     pairs = idx[(idx < neg)]
-    selfs = idx[(idx == neg) & (idx != 0)]
-    return pairs, neg[pairs], selfs
-
-
-def _omega_n(spec: LatticeSpec) -> np.ndarray:
-    """omega(theta) at each lattice wavenumber (flat, row-major); 0 at xi=0."""
-    return np.sqrt(mode_coupling(spec)[1])
+    tables = (pairs, neg[pairs], idx[(idx == neg) & (idx != 0)],
+              np.sqrt(mode_coupling(spec)[1]))
+    for a in tables:
+        a.setflags(write=False)
+    return tables
 
 
 def sphere_dimension(spec: LatticeSpec) -> int:
@@ -59,12 +64,11 @@ def sample_microcanonical(spec: LatticeSpec, e: float,
     if e <= 0:
         raise SpecError("e must be > 0")
     ns, ds, n, d = spec.nsites, spec.dstar, spec.n, spec.d
-    pairs, partners, selfs = _mode_classes(spec)
+    pairs, partners, selfs, omega = _mode_tables(n, d)
     m = sphere_dimension(spec)
     g = rng.standard_normal(m)
     g *= np.sqrt(ns * e) / np.linalg.norm(g)
 
-    omega = _omega_n(spec)
     pos = np.empty((ds, ns))
     vel = np.empty((ds, ns))
     per = 4 * len(pairs) + 2 * len(selfs)
@@ -131,8 +135,7 @@ def _coefficient_vector(spec: LatticeSpec, kind: str, j: int,
     its coefficient vector in the same layout the sampler consumes.
     """
     ns, ds, n = spec.nsites, spec.dstar, spec.n
-    pairs, _, selfs = _mode_classes(spec)
-    omega = _omega_n(spec)
+    pairs, _, selfs, omega = _mode_tables(n, spec.d)
     x = np.atleast_1d(np.asarray(x)) % n
     phase = 2 * np.pi * (site_coords(spec) @ x) / n  # 2 pi xi . x / N
     npair, nself = len(pairs), len(selfs)

@@ -3,10 +3,17 @@ charged harmonic lattice.
 
 Everything here is deterministic quadrature over the Brillouin zone
 [0,1]^d: Laplace transforms of the infinite-volume correlation functions,
-their explicit inverse-Laplace decompositions, the spectral coefficient
-functions (alpha/beta pairs for the uniform charge, the cubic-root sextet
-for the alternating charge), finite-time Green-Kubo integrals assembled
-from analytically time-integrated terms, and log-log exponent fitting.
+the spectral coefficient functions (alpha/beta pairs for the uniform charge,
+cubic roots and partial fractions for the alternating charge), the closed
+forms in time, and log-log exponent fitting.
+
+Every closed form is one zone integral of sum_k Re c_k(theta) K(z_k(theta)).
+Each charge has one term table: its rows (c_k, z_k), oscillating rows first,
+its zone grid and its panel cut-off.  ``_assemble`` integrates a table for a
+kernel K: K(z) = e^{zt} gives the correlation (``c_components``, ``c_infty``,
+``d_closed``), the triangular window int_0^t (1 - s/t) e^{zs} ds the
+finite-time Green-Kubo integral (``kappa_gk_closed``).  The Laplace
+transforms do not use the tables; tests compare the two.
 
 Conventions: omega2 = 4 sum_a sin^2(pi theta^a); the uniformly charged
 integrand carries the weight sin^2(2 pi theta^1)/omega2 (equal to
@@ -18,7 +25,7 @@ d=1, dstar=2 with E = 2/beta (variant "0" at B=0), and are computed by them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -104,20 +111,6 @@ def _refine(valfun, n: int, tol: float | None, what: str):
 # uniform-charge spectral coefficients
 
 
-@dataclass
-class SpectralCoeffs:
-    theta: object
-    omega2: float
-    alpha1: float = 0.0
-    alpha2: float = 0.0
-    beta1: float = 0.0
-    beta2: float = 0.0
-    cubic_roots: np.ndarray | None = None   # alternating charge, descending
-    alphas456: np.ndarray | None = None     # (alpha1, alpha2, alpha3)
-    betas1to6: np.ndarray | None = None
-    complex_regime: bool = False
-
-
 def _uniform_arrays(om2: np.ndarray, b: float, gamma: float) -> dict:
     """Vectorized alpha/beta functions with cancellation-safe branches.
 
@@ -157,16 +150,6 @@ def _uniform_arrays(om2: np.ndarray, b: float, gamma: float) -> dict:
     z3 = np.divide(8.0 * gamma * gamma * om2 ** 3, denom,
                    out=np.zeros_like(om2), where=denom > 0)
     return dict(gw=gw, a1=a1, a2=a2, b1=b1, b2=b2, z2=gw + a2, z3=z3)
-
-
-def uniform_coeffs(theta, b: float, gamma: float) -> SpectralCoeffs:
-    om2 = omega2(theta)
-    if b == 0.0 and om2 == 0.0:
-        raise ZeroDivisionError("degenerate mode: B = 0 and omega = 0")
-    u = _uniform_arrays(np.array([om2]), b, gamma)
-    return SpectralCoeffs(theta=theta, omega2=om2,
-                          alpha1=float(u["a1"][0]), alpha2=float(u["a2"][0]),
-                          beta1=float(u["b1"][0]), beta2=float(u["b2"][0]))
 
 
 def _weight_micro(pts: np.ndarray, om2: np.ndarray) -> np.ndarray:
@@ -226,14 +209,18 @@ def _rs_ratio(lam: float, theta: np.ndarray, b: float, gamma: float):
     return R / S
 
 
+def _check_variant(variant: str):
+    if variant not in ("0", "i", "ii"):
+        raise ValueError("variant must be '0', 'i' or 'ii'")
+
+
 def laplace_canonical(lam: float, variant: str, b: float, gamma: float,
                       beta: float, n: int = 400,
                       tol: float | None = 1e-8) -> float:
     """Laplace transform of the canonical current autocorrelation."""
     if lam <= 0:
         raise ValueError("lam must be > 0")
-    if variant not in ("0", "i", "ii"):
-        raise ValueError("variant must be '0', 'i' or 'ii'")
+    _check_variant(variant)
     if variant != "ii":
         return laplace_micro(lam, 1, 2, b if variant == "i" else 0.0, gamma,
                              2.0 / beta, n, tol)
@@ -283,74 +270,14 @@ def _damping_cutoff(gamma: float, t: float, scale: float = 0.5,
     return min(scale, np.arcsin(np.sqrt(s2)) / np.pi)
 
 
-def _beta1_integral(kernel, t: float, d: int, b: float, gamma: float,
-                    n: int) -> float:
-    """Integral over [0,1]^d of weight * beta1 * Re kernel(-gw + i a1).
-
-    This is the oscillatory cos(a1 t) family (B != 0).  In d=1 the nodes sit
-    on panels that follow the phase a1*t up to the damping cutoff of
-    exp(-gw t); in d > 1 the graded tensor grid is used.
-    """
-    def f(pts):
-        om2 = _omega2_arr(pts)
-        u = _uniform_arrays(om2, b, gamma)
-        return (_weight_micro(pts, om2) * u["b1"]
-                * kernel(-u["gw"] + 1j * u["a1"]).real)
-
-    if d > 1:
-        return _integrate_sym(f, d, n)
-
-    def phase(th):
-        return _uniform_arrays(_omega2_arr(th), b, gamma)["a1"]
-
-    nodes, wq = _panel_nodes(phase, t, 0.0, _damping_cutoff(gamma, t))
-    return 2.0 * float(f(nodes) @ wq)
-
-
-# ---------------------------------------------------------------------------
-# inverse Laplace components (uniform charge)
-
-
-def c_components(t: float, d: int, b: float, gamma: float,
-                 n: int = 500):
-    """The four theta-integral components of the correlation at time t.
-
-    c1: oscillatory term (weight * beta1 * exp(-gw t) cos(a1 t));
-    c2/c3: the exp(-(gw +- a2) t) pair with weight * beta2;
-    c4: the uncoupled-component term (weight * exp(-gw t)).
-    At B=0 the coupled plane reduces to p/q = 1/(lam + gw), so c1 = 0 and
-    c2 = c3 = c4/2.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    pts, wts = _tensor_grid(d, n, 3)
-    om2 = _omega2_arr(pts)
-    w = _weight_micro(pts, om2)
-    c4 = float((w * np.exp(-gamma * om2 * t)) @ wts)
-    if b == 0.0:
-        return 0.0, 0.5 * c4, 0.5 * c4, c4
-    u = _uniform_arrays(om2, b, gamma)
-    c2 = float((w * u["b2"] * np.exp(-u["z2"] * t)) @ wts)
-    c3 = float((w * u["b2"] * np.exp(-u["z3"] * t)) @ wts)
-    c1 = _beta1_integral(lambda z: np.exp(z * t), t, d, b, gamma, n)
-    return c1, c2, c3, c4
-
-
-def c_infty(t: float, d: int = 1, dstar: int = 2, b: float = 1.0,
-            gamma: float = 1.0, e: float = 1.0, n: int = 500) -> float:
-    """Infinite-volume current autocorrelation assembled from components."""
-    c1, c2, c3, c4 = c_components(t, d, b, gamma, n)
-    return ((2.0 * e * e / dstar ** 2) * (c1 + c2 + c3)
-            + (dstar - 2) * (e * e / dstar ** 2) * c4)
-
-
 # ---------------------------------------------------------------------------
 # triangular-window time integral
 
 
 def triangular_window_integral(z, T: float):
-    """int_0^T (1 - t/T) e^{z t} dt, stable for small |z T| (vectorized)."""
-    z = np.asarray(z, dtype=complex)
+    """int_0^T (1 - t/T) e^{z t} dt, stable for small |z T| (vectorized);
+    real for real z."""
+    z = np.asarray(z, dtype=np.result_type(z, float))
     out = np.empty_like(z)
     small = np.abs(z) * T < 0.1
     zb = z[~small]
@@ -362,53 +289,7 @@ def triangular_window_integral(z, T: float):
         acc = acc + term / ((k + 1) * (k + 2))
         term = term * zs * T / (k + 1)
     out[small] = acc
-    return out if out.shape else complex(out)
-
-
-def _tw_smooth(z, T: float):
-    """Triangular window without its e^{zT} part (use for oscillatory z)."""
-    z = np.asarray(z, dtype=complex)
-    return -1.0 / z - 1.0 / (z * z * T)
-
-
-def _tw_tail(z, T: float):
-    return np.exp(np.asarray(z, dtype=complex) * T) / (z * z * T)
-
-
-# ---------------------------------------------------------------------------
-# Green-Kubo closed forms
-
-
-def _kappa_micro(T: float, d: int, dstar: int, b: float, gamma: float,
-                 n: int = 500) -> float:
-    if b == 0.0:
-        # every component decays as exp(-gw t) (see c_components)
-        def free(pts):
-            om2 = _omega2_arr(pts)
-            return _weight_micro(pts, om2) * triangular_window_integral(
-                -gamma * om2, T).real
-        return _integrate_sym(free, d, n) / dstar + gamma / (2.0 * dstar)
-
-    def smooth_part(pts):
-        om2 = _omega2_arr(pts)
-        w = _weight_micro(pts, om2)
-        u = _uniform_arrays(om2, b, gamma)
-        tw2 = triangular_window_integral(-u["z2"], T).real
-        tw3 = triangular_window_integral(-u["z3"], T).real
-        # in d=1 the e^{z1 T} piece of the beta1 term is added on panels
-        window = _tw_smooth if d == 1 else triangular_window_integral
-        tw1 = window(-u["gw"] + 1j * u["a1"], T).real
-        out = 2.0 * w * (u["b2"] * (tw2 + tw3) + u["b1"] * tw1)
-        if dstar > 2:
-            out = out + (dstar - 2) * w * triangular_window_integral(
-                -u["gw"], T).real
-        return out / dstar ** 2
-
-    total = _integrate_sym(smooth_part, d, n) + gamma / (2.0 * dstar)
-    if d == 1:
-        total += (2.0 / dstar ** 2) * _beta1_integral(
-            lambda z: _tw_tail(z, T), T, d, b, gamma, n)
-    return total
+    return out if out.shape else out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -509,48 +390,143 @@ def _alt_partial_fractions(theta, b, gamma):
     return roots, s, rU1, rU2, is_complex
 
 
-def cubic_coeffs(theta: float, b: float, gamma: float) -> SpectralCoeffs:
-    """Spectral data of the alternating charge at a single wavenumber."""
-    roots, s, rU1, rU2, is_complex = _alt_partial_fractions(
-        np.array([theta]), b, gamma)
-    coeffs = SpectralCoeffs(theta=theta, omega2=omega2(theta),
-                            complex_regime=is_complex)
-    coeffs.cubic_roots = np.asarray(roots[:, 0],
-                                    dtype=complex if is_complex else float)
-    if not is_complex:
-        a1 = float(np.sqrt(max(4 * gamma ** 2 + 4 * roots[0, 0], 0.0)))
-        a2 = float(np.sqrt(max(-4 * gamma ** 2 - 4 * roots[1, 0], 0.0)))
-        a3 = float(np.sqrt(max(-4 * gamma ** 2 - 4 * roots[2, 0], 0.0)))
-        coeffs.alphas456 = np.array([a1, a2, a3])
-        b123 = [float(rU1[i, 0]) for i in range(3)]
-        b456 = [float(rU2[i, 0]) for i in range(3)]
-        coeffs.betas1to6 = np.array(b123 + b456)
-    return coeffs
+# ---------------------------------------------------------------------------
+# term tables and the zone-integral assembly
 
 
-@functools.lru_cache(maxsize=16)
-def _quarter_grid(n: int, power: int = 3):
-    t1, w1 = _axis_nodes(n, power, 0.25)
-    return t1, w1
+class _Table(NamedTuple):
+    """A charge's term table at one time.
+
+    ``rows`` maps zone points to the lists (c, z) of row arrays, real where
+    the row does not oscillate.  ``pts``/``wts`` is the zone grid.  The first
+    ``n_panel`` rows are split: the grid takes the part of the kernel
+    without e^{zt}, and panels that follow the phase over [0, cut] take the
+    rest (cut = 0 drops it), their weights times ``fold``, the symmetry
+    factor the grid weights carry.
+    """
+
+    rows: Callable
+    pts: np.ndarray
+    wts: np.ndarray
+    n_panel: int = 0
+    cut: float = 0.0
+    fold: float = 1.0
 
 
-def _alt_time_integrand(theta, t, b, gamma):
-    """L^{-1}[R/S](t) pointwise in theta (longdouble), its e^{-2 gamma t}
-    included (R/S is a function of lam + 2 gamma)."""
-    roots, s, rU1, rU2, _ = _alt_partial_fractions(theta, b, gamma)
-    tt = _LD(t)
-    total = np.zeros(np.shape(s[0]), dtype=_CLD)
-    for i in range(3):
-        # exponents s_i - 2 gamma <= 0 up to roundoff; clip to avoid blowup
-        ep = np.exp(np.minimum((s[i] - 2 * _LD(gamma)).real, 0)
-                    * tt + 1j * s[i].imag * tt)
-        # exp(-(s_i + 2 gamma) t), real exponent clipped like ep's
-        em = np.exp(np.minimum((-s[i] - 2 * _LD(gamma)).real, 0) * tt
-                    - 1j * s[i].imag * tt)
-        cosh_t = 0.5 * (ep + em)
-        sinh_t = 0.5 * (ep - em)
-        total = total + rU1[i] * cosh_t + rU2[i] * sinh_t / s[i]
-    return total.real.astype(float)
+def _uniform_table(t: float, d: int, b: float, gamma: float,
+                   n: int) -> _Table:
+    """Uniform charge, weight w = sin^2(2 pi theta^1)/omega2:
+    (w b1, -gw + i a1), (w b2, -z2), (w b2, -z3), (w, -gw), the last one the
+    uncoupled components.  At B=0 the coupled plane reduces to p/q =
+    1/(lam + gw), so the rows are the free decay (0, w/2, w/2, w) at -gw.
+    """
+    def rows(pts):
+        om2 = _omega2_arr(pts)
+        w = _weight_micro(pts, om2)
+        if b == 0.0:
+            z = -gamma * om2
+            return [0.0 * w, 0.5 * w, 0.5 * w, w], [z, z, z, z]
+        u = _uniform_arrays(om2, b, gamma)
+        wb2 = w * u["b2"]
+        return ([w * u["b1"], wb2, wb2, w],
+                [-u["gw"] + 1j * u["a1"], -u["z2"], -u["z3"], -u["gw"]])
+
+    return _Table(rows, *_tensor_grid(d, n, 3),
+                  n_panel=int(d == 1 and b != 0.0),
+                  cut=_damping_cutoff(gamma, t), fold=2.0)
+
+
+def _alternate_table(t: float, b: float, gamma: float, n: int) -> _Table:
+    """Alternate charge on theta in [0, 1/4], from the partial fractions of
+    R/S: (rU1_i + rU2_i/s_i, s_i - 2 gamma) for the two oscillating roots
+    (s_i = i alpha_i, the conjugate row folded in), then
+    ((rU1 +- rU2/s)/2, +-s - 2 gamma) for the real root, the growing
+    exponent clipped at 0.  For gamma > 1 the roots are complex: six +-s
+    rows for the three roots, clipped alike, on a uniform midpoint grid.
+    """
+    cx = gamma > 1.0
+
+    def rows(th):
+        _, s, rU1, rU2, _ = _alt_partial_fractions(th, b, gamma)
+        g2 = 2 * _LD(gamma)
+        osc = () if cx else (1, 2)
+        c = [rU1[i] + rU2[i] / s[i] for i in osc]
+        z = [s[i] - g2 for i in osc]
+        for i in (0, 1, 2) if cx else (0,):
+            si = s[i] if cx else s[i].real
+            for sign in (1, -1):
+                zi = sign * si - g2
+                c.append((rU1[i] + sign * rU2[i] / si) / 2)
+                z.append(np.minimum(zi.real, 0) + (1j * zi.imag if cx else 0))
+
+        def double(xs):
+            return [x.astype(complex if np.iscomplexobj(x) else float)
+                    for x in xs]
+        return double(c), double(z)
+
+    if cx:
+        m = 4 * n
+        return _Table(rows, (np.arange(m) + 0.5) / m * 0.25,
+                      np.full(m, 0.25 / m))
+    # the oscillating rows carry an exact e^{-2 gamma t}: once that
+    # underflows their panel part is dropped
+    return _Table(rows, *_axis_nodes(n, 3, 0.25), n_panel=2,
+                  cut=0.25 if 2.0 * gamma * t < 500.0 else 0.0)
+
+
+# Kernels as (K(z, t), K without its e^{zt} part, the factor of e^{zt} in K).
+_EXP = (lambda z, t: np.exp(z * t), lambda z, t: 0.0, lambda z, t: 1.0)
+_WINDOW = (triangular_window_integral,
+           lambda z, t: -1.0 / z - 1.0 / (z * z * t),
+           lambda z, t: 1.0 / (z * z * t))
+
+
+def _assemble(table: _Table, kernel, t: float) -> np.ndarray:
+    """Zone integral of Re c_k K(z_k) at time t, one value per table row."""
+    full, smooth, tail = kernel
+    split = table.n_panel
+    c, z = table.rows(table.pts)
+    vals = [float((ck * (smooth if k < split else full)(zk, t)).real
+                  @ table.wts) for k, (ck, zk) in enumerate(zip(c, z))]
+    if split and table.cut > 0.0:
+        def phase(th):
+            return sum(np.abs(zk.imag) for zk in table.rows(th)[1][:split])
+
+        nodes, wq = _panel_nodes(phase, t, 0.0, table.cut)
+        c, z = table.rows(nodes)
+        for k in range(split):
+            vals[k] += table.fold * float(
+                (c[k] * tail(z[k], t) * np.exp(z[k] * t)).real @ wq)
+    return np.array(vals)
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+
+
+def c_components(t: float, d: int, b: float, gamma: float,
+                 n: int = 500):
+    """The four theta-integral components of the correlation at time t.
+
+    One per row of the uniform-charge table: c1 the oscillatory cos(a1 t)
+    term, c2/c3 the exp(-z2 t), exp(-z3 t) pair, c4 the uncoupled-component
+    term.  At B=0, c1 = 0 and c2 = c3 = c4/2.
+    """
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    return tuple(_assemble(_uniform_table(t, d, b, gamma, n), _EXP, t))
+
+
+def _uniform_weights(dstar: int) -> np.ndarray:
+    """Weights of the uniform-charge rows in C/E^2 and in kappa."""
+    return np.array([2.0, 2.0, 2.0, dstar - 2.0]) / dstar ** 2
+
+
+def c_infty(t: float, d: int = 1, dstar: int = 2, b: float = 1.0,
+            gamma: float = 1.0, e: float = 1.0, n: int = 500) -> float:
+    """Infinite-volume current autocorrelation assembled from components."""
+    return e * e * float(_uniform_weights(dstar)
+                         @ c_components(t, d, b, gamma, n))
 
 
 def d_closed(t: float, variant: str, b: float, gamma: float, beta: float,
@@ -558,72 +534,12 @@ def d_closed(t: float, variant: str, b: float, gamma: float, beta: float,
     """Closed-form canonical current autocorrelation at time t."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if variant not in ("0", "i", "ii"):
-        raise ValueError("variant must be '0', 'i' or 'ii'")
+    _check_variant(variant)
     if variant != "ii" or b == 0.0:
         return c_infty(t, 1, 2, b if variant != "0" else 0.0, gamma,
                        2.0 / beta, n)
-    if gamma > 1.0:
-        # complex-root regime: experimental, dense uniform grid
-        th = (np.arange(4 * n) + 0.5) / (4 * n) * 0.25
-        vals = _alt_time_integrand(th, t, b, gamma)
-        return float(np.mean(vals) * 0.25 * 4.0 / beta ** 2)
-
-    # smooth (growing-exponential) part: i = 1 root, graded grid near 0;
-    # its decay enters through the combined exponent s_1 - 2 gamma <= 0
-    th, wq = _quarter_grid(n)
-    roots, s, rU1, rU2, _ = _alt_partial_fractions(th, b, gamma)
-    tt = _LD(t)
-    g2 = 2 * _LD(gamma)
-    ep = np.exp(np.minimum(s[0].real - g2, 0) * tt)
-    em = np.exp((-s[0].real - g2) * tt)
-    smooth = (rU1[0].real * 0.5 * (ep + em)
-              + rU2[0].real * 0.5 * (ep - em) / s[0].real)
-    total = float(np.asarray(smooth, dtype=float) @ wq)
-
-    # oscillatory part: i = 2,3 roots on phase-adapted panels; it carries
-    # an exact e^{-2 gamma t} factor, so skip it once that underflows
-    if float(g2) * t < 500.0:
-        def phase(thx):
-            _, sx, *_ = _alt_partial_fractions(np.asarray(thx), b, gamma)
-            return (np.abs(sx[1].imag) + np.abs(sx[2].imag)).astype(float)
-
-        nodes, wp = _panel_nodes(phase, t, 0.0, 0.25)
-        _, sn, rU1n, rU2n, _ = _alt_partial_fractions(nodes, b, gamma)
-        osc = np.zeros(len(nodes), dtype=_LD)
-        for i in (1, 2):
-            al = sn[i].imag
-            osc = osc + rU1n[i].real * np.cos(al * tt) \
-                + rU2n[i].real * np.sin(al * tt) / al
-        total += float(np.exp(-g2 * tt) * (np.asarray(osc, dtype=float) @ wp))
-    return total * 4.0 / beta ** 2
-
-
-def _kappa_canonical_alt(T: float, b: float, gamma: float,
-                         n: int = 500) -> float:
-    """Variant-ii Green-Kubo integral via windowed partial fractions."""
-    if gamma > 1.0:
-        raise ComplexRootRegime(
-            "gamma > 1: alternating-charge closed form is experimental; "
-            "use d_closed + numerical time integration")
-    th, wq = _quarter_grid(n)
-    roots, s, rU1, rU2, _ = _alt_partial_fractions(th, b, gamma)
-    g2 = 2.0 * gamma
-    bracket = np.zeros(len(th))
-    # i = 1: real pair e^{(s-2g)t}, e^{-(s+2g)t}
-    s1 = np.asarray(s[0].real, dtype=float)
-    twp = triangular_window_integral(s1 - g2, T).real
-    twm = triangular_window_integral(-s1 - g2, T).real
-    bracket += (np.asarray(rU1[0].real, dtype=float) * 0.5 * (twp + twm)
-                + np.asarray(rU2[0].real, dtype=float) * 0.5 * (twp - twm) / s1)
-    # i = 2,3: oscillatory, z = -2g + i alpha
-    for i in (1, 2):
-        al = np.asarray(s[i].imag, dtype=float)
-        z = -g2 + 1j * al
-        tw = triangular_window_integral(z, T)
-        bracket += (np.asarray(rU1[i].real, dtype=float) * tw.real
-                    + np.asarray(rU2[i].real, dtype=float) * tw.imag / al)
-    return float(bracket @ wq) + gamma / 4.0
+    rows = _assemble(_alternate_table(t, b, gamma, n), _EXP, t)
+    return float(np.sum(rows)) * 4.0 / beta ** 2
 
 
 def kappa_gk_closed(t: float, *, kind: str = "micro", d: int = 1,
@@ -639,15 +555,21 @@ def kappa_gk_closed(t: float, *, kind: str = "micro", d: int = 1,
     """
     if t <= 0:
         raise ValueError("t must be > 0")
-    if kind == "micro":
-        return _kappa_micro(t, d, dstar, b, gamma, n)
-    if kind != "canonical":
+    if kind not in ("micro", "canonical"):
         raise ValueError("kind must be 'micro' or 'canonical'")
-    if variant not in ("0", "i", "ii"):
-        raise ValueError("variant must be '0', 'i' or 'ii'")
-    if variant != "ii" or b == 0.0:  # as in d_closed
-        return _kappa_micro(t, 1, 2, b if variant != "0" else 0.0, gamma, n)
-    return _kappa_canonical_alt(t, b, gamma, n)
+    if kind == "canonical":
+        _check_variant(variant)
+        if variant == "ii" and b != 0.0:  # as in d_closed
+            if gamma > 1.0:
+                raise ComplexRootRegime(
+                    "gamma > 1: alternating-charge closed form is "
+                    "experimental; use d_closed + numerical time "
+                    "integration")
+            rows = _assemble(_alternate_table(t, b, gamma, n), _WINDOW, t)
+            return float(np.sum(rows)) + gamma / 4.0
+        d, dstar, b = 1, 2, (b if variant != "0" else 0.0)
+    rows = _assemble(_uniform_table(t, d, b, gamma, n), _WINDOW, t)
+    return float(_uniform_weights(dstar) @ rows) + gamma / (2.0 * dstar)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magnon_gk.lattice import LatticeSpec, PhaseState
+from magnon_gk.lattice import LatticeSpec, PhaseState, SpecError
 from magnon_gk.observables import (
     QuadraticObservable, apply_drift, apply_generator, apply_swap_sum,
     bond_current_observable, drift_matrix, eval_observable,
@@ -70,6 +70,19 @@ def test_swap_sum_matches_permutation_oracle(spec):
     assert np.allclose(su.kernel, Kref, atol=1e-12)
     assert np.allclose(su.linear, bref, atol=1e-12)
     assert su.constant == 0.0
+
+
+def test_kernel_symmetry_checked_to_1e12_absolute():
+    # a relative tolerance would let this kernel through; apply_swap_sum
+    # relies on K = K^T
+    spec = SPECS[0]
+    m = spec.flat_size
+    K = np.zeros((m, m))
+    K[0, 1], K[1, 0] = 1.0, 1.0 + 5e-6
+    with pytest.raises(SpecError):
+        QuadraticObservable(spec, K, np.zeros(m))
+    K[1, 0] = 1.0 + 5e-13
+    QuadraticObservable(spec, K, np.zeros(m))
 
 
 @pytest.mark.parametrize("spec", SPECS)

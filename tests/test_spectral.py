@@ -34,17 +34,23 @@ def test_dispersion_flat_at_origin():
     assert acoustic > 3.0
 
 
+def _uniform_at(theta, b, g):
+    """Uniform-charge coefficients at one wavenumber, as floats."""
+    u = sp._uniform_arrays(np.array([sp.omega2(theta)]), b, g)
+    return {k: float(v[0]) for k, v in u.items()}
+
+
 def test_uniform_coeffs_zero_mode_with_field():
-    c = sp.uniform_coeffs(0.0, 3.0, 1.0)
-    assert c.alpha1 == pytest.approx(3.0)
-    assert c.alpha2 == pytest.approx(0.0)
-    assert c.beta1 == pytest.approx(1.0)
-    assert c.beta2 == pytest.approx(0.0, abs=1e-14)
+    c = _uniform_at(0.0, 3.0, 1.0)
+    assert c["a1"] == pytest.approx(3.0)
+    assert c["a2"] == pytest.approx(0.0)
+    assert c["b1"] == pytest.approx(1.0)
+    assert c["b2"] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_uniform_coeffs_degenerate_rejected():
     with pytest.raises(ZeroDivisionError):
-        sp.uniform_coeffs(0.0, 0.0, 1.0)
+        sp._uniform_arrays(np.array([0.0]), 0.0, 1.0)
 
 
 def test_uniform_coeffs_defining_equations():
@@ -54,24 +60,25 @@ def test_uniform_coeffs_defining_equations():
         th = rng.uniform(1e-4, 0.5)
         b = rng.uniform(-3, 3)
         g = rng.uniform(0.2, 2.0)
-        c = sp.uniform_coeffs(th, b, g)
-        om2 = c.omega2
+        c = _uniform_at(th, b, g)
+        om2 = sp.omega2(th)
         d = b * b - g * g * om2 * om2 + 4 * om2
         scale = max(1.0, abs(d))
-        assert abs(c.alpha1 ** 2 - c.alpha2 ** 2 - d) <= 1e-10 * scale
-        assert abs(c.alpha1 ** 2 * c.alpha2 ** 2
+        assert abs(c["a1"] ** 2 - c["a2"] ** 2 - d) <= 1e-10 * scale
+        assert abs(c["a1"] ** 2 * c["a2"] ** 2
                    - g * g * b * b * om2 * om2) <= 1e-10 * scale
         # decay-rate ordering: alpha2 <= gamma omega^2 everywhere
-        assert c.alpha2 <= g * om2 + 1e-12
+        assert c["a2"] <= g * om2 + 1e-12
 
 
 def test_uniform_small_theta_ratios():
     # alpha2/(gamma omega^2) -> 1 and beta2 B^2/omega^2 -> 2 as theta -> 0
     b, g = 1.7, 0.9
     for th, tol in ((1e-3, 2e-4), (1e-5, 2e-8), (1e-7, 2e-11)):
-        c = sp.uniform_coeffs(th, b, g)
-        assert c.alpha2 / (g * c.omega2) == pytest.approx(1.0, abs=tol)
-        assert c.beta2 * b * b / c.omega2 == pytest.approx(2.0, abs=tol)
+        c = _uniform_at(th, b, g)
+        om2 = sp.omega2(th)
+        assert c["a2"] / (g * om2) == pytest.approx(1.0, abs=tol)
+        assert c["b2"] * b * b / om2 == pytest.approx(2.0, abs=tol)
 
 
 def test_laplace_micro_b0_reduction():
@@ -224,6 +231,35 @@ def test_canonical_variants_coincide_at_b0(g):
                 sp.d_closed(t, "0", 0.0, g, 1.3), rel=1e-13)
 
 
+def _micro_case(d, dstar, b, n=500):
+    return pytest.param(
+        dict(kind="micro", d=d, dstar=dstar, b=b, gamma=1.0, n=n),
+        lambda s: sp.c_infty(s, d, dstar, b, 1.0, 1.0, n), 1.0 / (2 * dstar),
+        id=f"micro-d{d}-dstar{dstar}-B{b:g}")
+
+
+def _canonical_case(variant, b, g):
+    # beta = 2 makes the prefactor beta^2/4 of kappa one
+    return pytest.param(
+        dict(kind="canonical", variant=variant, b=b, gamma=g),
+        lambda s: sp.d_closed(s, variant, b, g, 2.0), g / 4.0,
+        id=f"canonical-{variant}-B{b:g}-g{g:g}")
+
+
+@pytest.mark.parametrize("t", [0.5, 4.0, 16.0])
+@pytest.mark.parametrize("kw,corr,noise", [
+    _micro_case(1, 2, 0.0), _micro_case(1, 3, 0.0), _micro_case(1, 2, 1.0),
+    _micro_case(1, 3, 1.0), _micro_case(2, 2, 1.0, n=100),
+    _canonical_case("i", 1.0, 1.0), _canonical_case("ii", 1.0, 0.5),
+    _canonical_case("ii", 2.0, 1.0)])
+def test_kappa_is_windowed_integral_of_correlation(kw, corr, noise, t):
+    # kappa minus its noise constant is int_0^t (1 - s/t) C(s) ds
+    want, _ = quad(lambda s: (1.0 - s / t) * corr(s), 0.0, t, epsabs=0.0,
+                   epsrel=1e-13, limit=200)
+    got = sp.kappa_gk_closed(t, **kw) - noise
+    assert got == pytest.approx(want, rel=1e-10)
+
+
 def test_d_closed_variant_ii_tail():
     vals = [sp.d_closed(t, "ii", 1.0, 0.5, 1.0) * np.sqrt(t)
             for t in (1e2, 1e3, 1e4)]
@@ -257,11 +293,12 @@ def test_triangular_window_against_quadrature():
 
 def test_cubic_coeffs_theta0_double_root():
     for b in (1.0, 2.5):
-        c = sp.cubic_coeffs(0.0, b, 0.7)
+        roots = sp._alt_partial_fractions(np.array([0.0]), b, 0.7)[0]
+        roots = np.asarray(roots[:, 0], dtype=float)
         bt2 = (b / 2) ** 2
-        assert c.cubic_roots[0] == pytest.approx(0.0, abs=1e-8)
-        assert c.cubic_roots[1] == pytest.approx(-bt2 - 1, abs=1e-5)
-        assert c.cubic_roots[2] == pytest.approx(-bt2 - 1, abs=1e-5)
+        assert roots[0] == pytest.approx(0.0, abs=1e-8)
+        assert roots[1] == pytest.approx(-bt2 - 1, abs=1e-5)
+        assert roots[2] == pytest.approx(-bt2 - 1, abs=1e-5)
 
 
 def test_cubic_root_ordering_chain():
@@ -283,14 +320,13 @@ def test_cubic_root_ordering_chain():
 
 def test_cubic_small_theta_limits():
     b, g = 1.0, 0.7
-    c = sp.cubic_coeffs(1e-4, b, g)
+    roots, s, rU1, rU2, _ = sp._alt_partial_fractions(np.array([1e-4]), b, g)
+    root0, s0, b1, b4 = (float(x[0, 0].real) for x in (roots, s, rU1, rU2))
     s2 = np.sin(2 * np.pi * 1e-4) ** 2
-    assert c.cubic_roots[0] / s2 == pytest.approx(
+    assert root0 / s2 == pytest.approx(
         -8 * g * g * (b * b + 2) / (b * b + 4) ** 2, rel=1e-2)
-    assert c.betas1to6[0] == pytest.approx(4 * (b * b + 4) / (b * b + 4) ** 2,
-                                           rel=1e-2)
-    assert c.betas1to6[0] + c.betas1to6[3] / c.alphas456[0] == pytest.approx(
-        8 / (b * b + 4), rel=1e-2)
+    assert b1 == pytest.approx(4 * (b * b + 4) / (b * b + 4) ** 2, rel=1e-2)
+    assert b1 + b4 / s0 == pytest.approx(8 / (b * b + 4), rel=1e-2)
 
 
 def test_partial_fraction_reconstruction():
@@ -332,10 +368,10 @@ def test_kappa_c1_term_bounded():
     b, g = 1.0, 1.0
 
     def bound_integrand(th):
-        c = sp.uniform_coeffs(th, b, g)
-        gw = g * c.omega2
-        return (np.cos(np.pi * th) ** 2 * abs(c.beta1) * gw
-                / (gw * gw + c.alpha1 ** 2))
+        c = _uniform_at(th, b, g)
+        gw = g * sp.omega2(th)
+        return (np.cos(np.pi * th) ** 2 * abs(c["b1"]) * gw
+                / (gw * gw + c["a1"] ** 2))
 
     bound, _ = quad(bound_integrand, 0, 1, limit=200)
     for T in (10.0, 1e3, 1e6):
