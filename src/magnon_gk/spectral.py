@@ -9,11 +9,14 @@ forms in time, and log-log exponent fitting.
 
 Every closed form is one zone integral of sum_k Re c_k(theta) K(z_k(theta)).
 Each charge has one term table: its rows (c_k, z_k), oscillating rows first,
-its zone grid and its panel cut-off.  ``_assemble`` integrates a table for a
-kernel K: K(z) = e^{zt} gives the correlation (``c_components``, ``c_infty``,
-``d_closed``), the triangular window int_0^t (1 - s/t) e^{zs} ds the
-finite-time Green-Kubo integral (``kappa_gk_closed``).  The Laplace
-transforms do not use the tables; tests compare the two.
+on its zone grid, and its panel cut-off.  The grid rows do not depend on t,
+so a table is built once per configuration and cached; t enters only
+through the kernel, the cut-off and the panel nodes.  ``_assemble``
+integrates a table for a kernel K: K(z) = e^{zt} gives the correlation
+(``c_components``, ``c_infty``, ``d_closed``), the triangular window
+int_0^t (1 - s/t) e^{zs} ds the finite-time Green-Kubo integral
+(``kappa_gk_closed``).  The Laplace transforms do not use the tables; tests
+compare the two.
 
 Conventions: omega2 = 4 sum_a sin^2(pi theta^a); the uniformly charged
 integrand carries the weight sin^2(2 pi theta^1)/omega2 (equal to
@@ -65,15 +68,28 @@ def dispersion(theta, b: float):
 # quadrature grids
 
 
+def _frozen(*arrays) -> tuple:
+    """The arrays, made read-only: cached results are shared by callers."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    return _frozen(*np.polynomial.legendre.leggauss(n))
+
+
 @functools.lru_cache(maxsize=64)
 def _axis_nodes(n: int, power: int, scale: float):
     """Graded Gauss-Legendre nodes on [0, scale], clustered at 0."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _gauss_legendre(n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
     theta = scale * u ** power
     wt = wu * scale * power * u ** (power - 1)
-    return theta, wt
+    return _frozen(theta, wt)
 
 
 @functools.lru_cache(maxsize=32)
@@ -89,7 +105,7 @@ def _tensor_grid(d: int, n: int, power: int):
     wts = waxes[0].ravel().copy()
     for wa in waxes[1:]:
         wts *= wa.ravel()
-    return pts, wts * (2.0 ** d)
+    return _frozen(pts, wts * (2.0 ** d))
 
 
 def _integrate_sym(fvec, d: int, n: int, power: int = 3) -> float:
@@ -116,32 +132,26 @@ def _uniform_arrays(om2: np.ndarray, b: float, gamma: float) -> dict:
 
     Returns gw = gamma*omega2, a1, a2, b1, b2 and the decay rates
     z2 = gw + a2, z3 = gw - a2 (z3 computed in a subtraction-free form).
+    Needs B != 0; at B=0 the modes are the free decay e^{-gw t}.
     """
+    if b == 0.0:
+        raise ValueError("B = 0 has no alpha/beta split: use the free decay")
     om2 = np.asarray(om2, dtype=float)
     gw = gamma * om2
     g2w4 = gw * gw
     D = b * b - g2w4 + 4.0 * om2
-    if b == 0.0:
-        if np.any(om2 == 0.0):
-            raise ZeroDivisionError("degenerate mode: B = 0 and omega = 0")
-        a1sq = np.maximum(D, 0.0)
-        a2sq = np.maximum(-D, 0.0)
-        b1 = np.where(D < 0.0, 1.0, 0.0)
-        b2 = np.where(D > 0.0, 0.5, 0.0)
-        disc = np.abs(D)
-    else:
-        disc = np.sqrt(D * D + 4.0 * g2w4 * b * b)
-        # whichever of a1sq/a2sq comes from "disc -/+ D" with opposite signs
-        # cancels; take it from the product identity instead
-        half_sum = 0.5 * (disc + np.abs(D))
-        ratio = np.divide(g2w4 * b * b, half_sum,
-                          out=np.zeros_like(half_sum), where=half_sum > 0)
-        a1sq = np.where(D >= 0.0, half_sum, ratio)
-        a2sq = np.where(D >= 0.0, ratio, half_sum)
-        ssum = a1sq + a2sq
-        b1 = (a2sq + b * b) / ssum
-        # a1sq - b^2 = 8 B^2 om2 / (disc + 2B^2 - D); denominator >= 2B^2
-        b2 = (8.0 * b * b * om2 / (disc + 2.0 * b * b - D)) / (2.0 * ssum)
+    disc = np.sqrt(D * D + 4.0 * g2w4 * b * b)
+    # whichever of a1sq/a2sq comes from "disc -/+ D" with opposite signs
+    # cancels; take it from the product identity instead
+    half_sum = 0.5 * (disc + np.abs(D))
+    ratio = np.divide(g2w4 * b * b, half_sum,
+                      out=np.zeros_like(half_sum), where=half_sum > 0)
+    a1sq = np.where(D >= 0.0, half_sum, ratio)
+    a2sq = np.where(D >= 0.0, ratio, half_sum)
+    ssum = a1sq + a2sq
+    b1 = (a2sq + b * b) / ssum
+    # a1sq - b^2 = 8 B^2 om2 / (disc + 2B^2 - D); denominator >= 2B^2
+    b2 = (8.0 * b * b * om2 / (disc + 2.0 * b * b - D)) / (2.0 * ssum)
     a1 = np.sqrt(a1sq)
     a2 = np.sqrt(a2sq)
     # gw - a2 = 8 gamma^2 om2^3 / ((W + disc)(gw + a2)), W = B^2+g2w4+4om2
@@ -251,7 +261,7 @@ def _panel_nodes(phase_fn, t: float, lo: float, hi: float,
     n_panels = max(16, int(arc[-1] / rad_per_panel) + 1)
     levels = np.linspace(0.0, arc[-1], n_panels + 1)
     edges = np.interp(levels, arc, g)
-    x, w = np.polynomial.legendre.leggauss(per_panel)
+    x, w = _gauss_legendre(per_panel)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -278,10 +288,14 @@ def triangular_window_integral(z, T: float):
     """int_0^T (1 - t/T) e^{z t} dt, stable for small |z T| (vectorized);
     real for real z."""
     z = np.asarray(z, dtype=np.result_type(z, float))
-    out = np.empty_like(z)
     small = np.abs(z) * T < 0.1
-    zb = z[~small]
-    out[~small] = -1.0 / zb - (1.0 - np.exp(zb * T)) / (zb * zb * T)
+    any_small = small.any()
+    zb = z[~small] if any_small else z
+    big = -1.0 / zb - (1.0 - np.exp(zb * T)) / (zb * zb * T)
+    if not any_small:
+        return big if big.shape else big[()]
+    out = np.empty_like(z)
+    out[~small] = big
     zs = z[small]
     acc = np.zeros_like(zs)
     term = np.ones_like(zs) * T
@@ -395,83 +409,102 @@ def _alt_partial_fractions(theta, b, gamma):
 
 
 class _Table(NamedTuple):
-    """A charge's term table at one time.
+    """A charge's term table for one configuration (charge, d, B, gamma, n).
 
-    ``rows`` maps zone points to the lists (c, z) of row arrays, real where
-    the row does not oscillate.  ``pts``/``wts`` is the zone grid.  The first
-    ``n_panel`` rows are split: the grid takes the part of the kernel
-    without e^{zt}, and panels that follow the phase over [0, cut] take the
-    rest (cut = 0 drops it), their weights times ``fold``, the symmetry
-    factor the grid weights carry.
+    ``c``/``z`` are the row arrays on the zone grid with weights ``wts``,
+    real where the row does not oscillate; they do not depend on t and are
+    read-only.  The first ``n_panel`` rows are split: the grid takes the
+    part of the kernel without e^{zt}, and panels that follow the phase over
+    [0, cut(t)] take the rest (a cut-off of 0 drops it).  ``panel`` maps
+    panel nodes to those rows there; the panel weights are multiplied by
+    ``fold``, the symmetry factor the grid weights carry.
     """
 
-    rows: Callable
-    pts: np.ndarray
+    c: tuple
+    z: tuple
     wts: np.ndarray
     n_panel: int = 0
-    cut: float = 0.0
+    panel: Callable | None = None
+    cut: Callable[[float], float] | None = None
     fold: float = 1.0
 
 
-def _uniform_table(t: float, d: int, b: float, gamma: float,
-                   n: int) -> _Table:
+def _uniform_rows(pts, b: float, gamma: float, panel: bool = False):
     """Uniform charge, weight w = sin^2(2 pi theta^1)/omega2:
     (w b1, -gw + i a1), (w b2, -z2), (w b2, -z3), (w, -gw), the last one the
-    uncoupled components.  At B=0 the coupled plane reduces to p/q =
-    1/(lam + gw), so the rows are the free decay (0, w/2, w/2, w) at -gw.
+    uncoupled components; ``panel`` keeps only the first.  At B=0 the
+    coupled plane reduces to p/q = 1/(lam + gw), so the rows are the free
+    decay (0, w/2, w/2, w), all at one z = -gw.
     """
-    def rows(pts):
-        om2 = _omega2_arr(pts)
-        w = _weight_micro(pts, om2)
-        if b == 0.0:
-            z = -gamma * om2
-            return [0.0 * w, 0.5 * w, 0.5 * w, w], [z, z, z, z]
-        u = _uniform_arrays(om2, b, gamma)
+    om2 = _omega2_arr(pts)
+    w = _weight_micro(pts, om2)
+    if b == 0.0:
+        z = -gamma * om2
+        half = 0.5 * w
+        return [0.0 * w, half, half, w], [z, z, z, z]
+    u = _uniform_arrays(om2, b, gamma)
+    c, z = [w * u["b1"]], [-u["gw"] + 1j * u["a1"]]
+    if not panel:
         wb2 = w * u["b2"]
-        return ([w * u["b1"], wb2, wb2, w],
-                [-u["gw"] + 1j * u["a1"], -u["z2"], -u["z3"], -u["gw"]])
+        c += [wb2, wb2, w]
+        z += [-u["z2"], -u["z3"], -u["gw"]]
+    return c, z
 
-    return _Table(rows, *_tensor_grid(d, n, 3),
+
+# The tables are bounded caches: one d=3, n=64 entry holds about 16 MB.
+@functools.lru_cache(maxsize=8)
+def _uniform_table(d: int, b: float, gamma: float, n: int) -> _Table:
+    pts, wts = _tensor_grid(d, n, 3)
+    c, z = _uniform_rows(pts, b, gamma)
+    return _Table(_frozen(*c), _frozen(*z), wts,
                   n_panel=int(d == 1 and b != 0.0),
-                  cut=_damping_cutoff(gamma, t), fold=2.0)
+                  panel=lambda th: _uniform_rows(th, b, gamma, panel=True),
+                  cut=lambda t: _damping_cutoff(gamma, t), fold=2.0)
 
 
-def _alternate_table(t: float, b: float, gamma: float, n: int) -> _Table:
+def _alternate_rows(th, b: float, gamma: float, panel: bool = False):
     """Alternate charge on theta in [0, 1/4], from the partial fractions of
     R/S: (rU1_i + rU2_i/s_i, s_i - 2 gamma) for the two oscillating roots
     (s_i = i alpha_i, the conjugate row folded in), then
     ((rU1 +- rU2/s)/2, +-s - 2 gamma) for the real root, the growing
-    exponent clipped at 0.  For gamma > 1 the roots are complex: six +-s
-    rows for the three roots, clipped alike, on a uniform midpoint grid.
+    exponent clipped at 0; ``panel`` keeps only the oscillating rows.  For
+    gamma > 1 the roots are complex: six +-s rows for the three roots,
+    clipped alike.
     """
     cx = gamma > 1.0
+    _, s, rU1, rU2, _ = _alt_partial_fractions(th, b, gamma)
+    g2 = 2 * _LD(gamma)
+    osc = () if cx else (1, 2)
+    c = [rU1[i] + rU2[i] / s[i] for i in osc]
+    z = [s[i] - g2 for i in osc]
+    for i in () if panel else ((0, 1, 2) if cx else (0,)):
+        si = s[i] if cx else s[i].real
+        for sign in (1, -1):
+            zi = sign * si - g2
+            c.append((rU1[i] + sign * rU2[i] / si) / 2)
+            z.append(np.minimum(zi.real, 0) + (1j * zi.imag if cx else 0))
 
-    def rows(th):
-        _, s, rU1, rU2, _ = _alt_partial_fractions(th, b, gamma)
-        g2 = 2 * _LD(gamma)
-        osc = () if cx else (1, 2)
-        c = [rU1[i] + rU2[i] / s[i] for i in osc]
-        z = [s[i] - g2 for i in osc]
-        for i in (0, 1, 2) if cx else (0,):
-            si = s[i] if cx else s[i].real
-            for sign in (1, -1):
-                zi = sign * si - g2
-                c.append((rU1[i] + sign * rU2[i] / si) / 2)
-                z.append(np.minimum(zi.real, 0) + (1j * zi.imag if cx else 0))
+    def double(xs):
+        return [x.astype(complex if np.iscomplexobj(x) else float)
+                for x in xs]
+    return double(c), double(z)
 
-        def double(xs):
-            return [x.astype(complex if np.iscomplexobj(x) else float)
-                    for x in xs]
-        return double(c), double(z)
 
-    if cx:
+@functools.lru_cache(maxsize=8)
+def _alternate_table(b: float, gamma: float, n: int) -> _Table:
+    """For gamma > 1 a uniform midpoint grid and no panels."""
+    if gamma > 1.0:
         m = 4 * n
-        return _Table(rows, (np.arange(m) + 0.5) / m * 0.25,
-                      np.full(m, 0.25 / m))
+        c, z = _alternate_rows((np.arange(m) + 0.5) / m * 0.25, b, gamma)
+        wts, = _frozen(np.full(m, 0.25 / m))
+        return _Table(_frozen(*c), _frozen(*z), wts)
+    th, wts = _axis_nodes(n, 3, 0.25)
+    c, z = _alternate_rows(th, b, gamma)
     # the oscillating rows carry an exact e^{-2 gamma t}: once that
     # underflows their panel part is dropped
-    return _Table(rows, *_axis_nodes(n, 3, 0.25), n_panel=2,
-                  cut=0.25 if 2.0 * gamma * t < 500.0 else 0.0)
+    return _Table(_frozen(*c), _frozen(*z), wts, n_panel=2,
+                  panel=lambda th: _alternate_rows(th, b, gamma, panel=True),
+                  cut=lambda t: 0.25 if 2.0 * gamma * t < 500.0 else 0.0)
 
 
 # Kernels as (K(z, t), K without its e^{zt} part, the factor of e^{zt} in K).
@@ -485,15 +518,20 @@ def _assemble(table: _Table, kernel, t: float) -> np.ndarray:
     """Zone integral of Re c_k K(z_k) at time t, one value per table row."""
     full, smooth, tail = kernel
     split = table.n_panel
-    c, z = table.rows(table.pts)
-    vals = [float((ck * (smooth if k < split else full)(zk, t)).real
-                  @ table.wts) for k, (ck, zk) in enumerate(zip(c, z))]
-    if split and table.cut > 0.0:
+    kz = {}  # rows that share a z array share its kernel values
+    vals = []
+    for k, (ck, zk) in enumerate(zip(table.c, table.z)):
+        key = (id(zk), k < split)
+        if key not in kz:
+            kz[key] = (smooth if k < split else full)(zk, t)
+        vals.append(float((ck * kz[key]).real @ table.wts))
+    cut = table.cut(t) if split else 0.0
+    if cut > 0.0:
         def phase(th):
-            return sum(np.abs(zk.imag) for zk in table.rows(th)[1][:split])
+            return sum(np.abs(zk.imag) for zk in table.panel(th)[1])
 
-        nodes, wq = _panel_nodes(phase, t, 0.0, table.cut)
-        c, z = table.rows(nodes)
+        nodes, wq = _panel_nodes(phase, t, 0.0, cut)
+        c, z = table.panel(nodes)
         for k in range(split):
             vals[k] += table.fold * float(
                 (c[k] * tail(z[k], t) * np.exp(z[k] * t)).real @ wq)
@@ -514,7 +552,7 @@ def c_components(t: float, d: int, b: float, gamma: float,
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    return tuple(_assemble(_uniform_table(t, d, b, gamma, n), _EXP, t))
+    return tuple(_assemble(_uniform_table(d, b, gamma, n), _EXP, t))
 
 
 def _uniform_weights(dstar: int) -> np.ndarray:
@@ -538,7 +576,7 @@ def d_closed(t: float, variant: str, b: float, gamma: float, beta: float,
     if variant != "ii" or b == 0.0:
         return c_infty(t, 1, 2, b if variant != "0" else 0.0, gamma,
                        2.0 / beta, n)
-    rows = _assemble(_alternate_table(t, b, gamma, n), _EXP, t)
+    rows = _assemble(_alternate_table(b, gamma, n), _EXP, t)
     return float(np.sum(rows)) * 4.0 / beta ** 2
 
 
@@ -565,10 +603,10 @@ def kappa_gk_closed(t: float, *, kind: str = "micro", d: int = 1,
                     "gamma > 1: alternating-charge closed form is "
                     "experimental; use d_closed + numerical time "
                     "integration")
-            rows = _assemble(_alternate_table(t, b, gamma, n), _WINDOW, t)
+            rows = _assemble(_alternate_table(b, gamma, n), _WINDOW, t)
             return float(np.sum(rows)) + gamma / 4.0
         d, dstar, b = 1, 2, (b if variant != "0" else 0.0)
-    rows = _assemble(_uniform_table(t, d, b, gamma, n), _WINDOW, t)
+    rows = _assemble(_uniform_table(d, b, gamma, n), _WINDOW, t)
     return float(_uniform_weights(dstar) @ rows) + gamma / (2.0 * dstar)
 
 

@@ -49,7 +49,8 @@ def test_uniform_coeffs_zero_mode_with_field():
 
 
 def test_uniform_coeffs_degenerate_rejected():
-    with pytest.raises(ZeroDivisionError):
+    # B=0 has no alpha/beta split; the closed forms use the free decay
+    with pytest.raises(ValueError):
         sp._uniform_arrays(np.array([0.0]), 0.0, 1.0)
 
 
@@ -352,6 +353,59 @@ def test_partial_fraction_reconstruction():
             + 8 * g * (4 - 8 * g * g - g * g * Y) * c2 ** 2
         err = np.abs(recon - (lb * U1 + U2) / S) / np.abs(recon)
         assert float(np.max(err)) < 1e-9
+
+
+def test_every_cache_is_bounded():
+    import importlib
+    import pkgutil
+
+    import magnon_gk
+    caches = {f"{m.name}.{name}": f
+              for m in pkgutil.iter_modules(magnon_gk.__path__)
+              for name, f in vars(importlib.import_module(
+                  f"magnon_gk.{m.name}")).items()
+              if hasattr(f, "cache_parameters")}
+    assert {"spectral._uniform_table", "spectral._alternate_table"} \
+        <= caches.keys()
+    for name, f in caches.items():
+        assert f.cache_parameters()["maxsize"] is not None, name
+
+
+@pytest.mark.parametrize("table", [
+    lambda: sp._uniform_table(1, 1.0, 1.0, 40),
+    lambda: sp._uniform_table(2, 0.0, 1.0, 20),
+    lambda: sp._alternate_table(1.0, 0.5, 40),
+    lambda: sp._alternate_table(1.0, 1.5, 10)],
+    ids=["uniform-d1-B1", "uniform-d2-B0", "alternate", "alternate-complex"])
+def test_cached_tables_are_read_only(table):
+    tab = table()
+    arrays = [*tab.c, *tab.z, tab.wts, *sp._tensor_grid(1, 40, 3),
+              *sp._axis_nodes(40, 3, 0.25), *sp._gauss_legendre(10)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+@pytest.mark.parametrize("f", [
+    lambda t: sp.c_components(t, 1, 1.0, 1.0),
+    lambda t: sp.d_closed(t, "ii", 1.0, 0.5, 1.0),
+    lambda t: sp.kappa_gk_closed(t, kind="micro", b=0.0),
+    lambda t: sp.kappa_gk_closed(t, kind="micro", b=1.0),
+    lambda t: sp.kappa_gk_closed(t, kind="micro", d=3, b=0.0, n=24),
+    lambda t: sp.kappa_gk_closed(t, kind="micro", d=3, b=1.0, n=24),
+    lambda t: sp.kappa_gk_closed(t, kind="canonical", variant="ii")],
+    ids=["c_components", "d_closed-ii", "micro-d1-B0", "micro-d1-B1",
+         "micro-d3-B0", "micro-d3-B1", "canonical-ii"])
+def test_cold_and_warm_tables_agree_bitwise(f):
+    # a table built at one t must serve every other t unchanged
+    cold = []
+    for t in (3.0, 1e5):
+        for cache in vars(sp).values():
+            if hasattr(cache, "cache_clear"):
+                cache.cache_clear()
+        cold.append(f(t))
+    f(40.0)
+    assert [f(t) for t in (3.0, 1e5)] == cold
 
 
 def test_complex_root_regime_flagged():
