@@ -90,6 +90,19 @@ def test_closedform_slope_report(tmp_path, monkeypatch):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("gamma", ["0", "-1"])
+def test_closedform_rejects_nonpositive_gamma(tmp_path, monkeypatch, capsys,
+                                              gamma):
+    # the closed forms reject the rate before any quadrature is set up
+    monkeypatch.chdir(tmp_path)
+    code = run(["closedform", "--gamma", gamma, "--points", "8"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == "ValueError"
+    assert err["message"].startswith("gamma must be finite and > 0")
+    assert not (tmp_path / "kappa_closed.csv").exists()
+
+
 def test_certify_passes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = run(["certify", "--n", "6", "--samples", "400",

@@ -292,6 +292,39 @@ def test_triangular_window_against_quadrature():
         assert got.imag == pytest.approx(im, rel=1e-8, abs=1e-12)
 
 
+def _window_mp(z, T):
+    """The triangular window at the double z in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        zm, tm = mpmath.mpc(z), mpmath.mpf(T)
+        if zm == 0:
+            return complex(tm / 2)
+        return complex(-1 / zm - (1 - mpmath.exp(zm * tm)) / (zm * zm * tm))
+
+
+@pytest.mark.parametrize("T", [1e-3, 3.0, 1e4])
+def test_triangular_window_against_mpmath(T):
+    # Re(zT) around the underflow of e^{zT} (-745.13), |zT| on both sides
+    # of 0.1 and of the series cut-off 0.5, and z = 0
+    edges = [r * s for r in (0.1, 0.5) for s in (1 - 1e-9, 1 + 1e-9)]
+    real = [-700.0, -745.0, -746.0, -800.0, 0.0] + edges + [-e for e in edges]
+    cplx = ([complex(x, y) for x in (-700.0, -745.0, -746.0, -800.0)
+             for y in (1.0, -40.0)] + [0j]
+            + [r * np.exp(1j * phi) for r in edges
+               for phi in np.linspace(0.1, 2 * np.pi, 12)])
+    for zts in (real, cplx):
+        zs = np.array(zts) / T
+        arr = sp.triangular_window_integral(zs, T)
+        assert arr.shape == zs.shape and arr.dtype == zs.dtype
+        for z, got in zip(zs, arr):
+            want = _window_mp(z, T)
+            scalar = sp.triangular_window_integral(z.item(), T)
+            assert np.ndim(scalar) == 0
+            assert np.iscomplexobj(scalar) == np.iscomplexobj(zs)
+            for v in (got, scalar):
+                assert abs(v - want) <= 1e-14 * abs(want), (z * T, v, want)
+
+
 def test_cubic_coeffs_theta0_double_root():
     for b in (1.0, 2.5):
         roots = sp._alt_partial_fractions(np.array([0.0]), b, 0.7)[0]
@@ -408,6 +441,44 @@ def test_cold_and_warm_tables_agree_bitwise(f):
     assert [f(t) for t in (3.0, 1e5)] == cold
 
 
+def _full_tensor_grid(d, n):
+    """The unfolded n^d tensor grid: every axis takes every node."""
+    t1, w1 = sp._axis_nodes(n, 3, 0.5)
+    axes = np.meshgrid(*([t1] * d), indexing="ij")
+    pts = np.stack([a.ravel() for a in axes], axis=-1)
+    waxes = np.meshgrid(*([w1] * d), indexing="ij")
+    wts = waxes[0].ravel().copy()
+    for wa in waxes[1:]:
+        wts *= wa.ravel()
+    return pts, wts * 2.0 ** d
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 2), (1, 7), (1, 40), (1, 500),
+                                 (2, 1), (2, 2), (2, 7), (2, 40), (2, 160)])
+def test_grids_below_d3_are_the_full_tensor_grid(d, n):
+    for got, want in zip(sp._tensor_grid(d, n, 3), _full_tensor_grid(d, n)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (3, 2), (3, 7), (3, 24), (4, 2),
+                                 (4, 5), (4, 12)])
+def test_folded_grid_integrates_like_the_full_grid(d, n):
+    # theta^2..theta^d enter only through sum_a sin^2(pi theta^a)
+    def f(pts):
+        s = np.sum(np.sin(np.pi * pts[:, 1:]) ** 2, axis=1)
+        return np.cos(3.0 * pts[:, 0]) * np.exp(-s) + pts[:, 0] ** 2 / (1 + s)
+
+    pts, wts = sp._tensor_grid(d, n, 3)
+    assert len(wts) == n * math.comb(n + d - 2, d - 1)
+    if d == 3:
+        assert len(wts) == n * n * (n + 1) // 2
+    assert np.all(np.diff(pts[:, 1:], axis=1) >= 0)
+    if n >= 2:  # the graded nodes integrate a constant exactly from n = 2
+        assert wts.sum() == pytest.approx(1.0, abs=1e-14)
+    full_pts, full_wts = _full_tensor_grid(d, n)
+    assert f(pts) @ wts == pytest.approx(f(full_pts) @ full_wts, abs=1e-13)
+
+
 def test_complex_root_regime_flagged():
     with pytest.raises(sp.ComplexRootRegime):
         sp.kappa_gk_closed(10.0, kind="canonical", variant="ii", b=1.0,
@@ -458,3 +529,28 @@ def test_fit_exponent_preconditions():
         sp.fit_exponent(ts[:5], ts[:5])
     with pytest.raises(ValueError):
         sp.fit_exponent(ts, np.concatenate([[-1.0], ts[1:]]))
+
+
+@pytest.mark.parametrize("gamma,t", [(0.0, 10.0), (-1.0, 10.0),
+                                     (np.nan, 10.0), (np.inf, 10.0),
+                                     (1.0, np.inf), (1.0, np.nan),
+                                     (1.0, -1.0)])
+@pytest.mark.parametrize("call", [
+    lambda g, t: sp.c_components(t, 1, 1.0, g),
+    lambda g, t: sp.c_infty(t, 3, 2, 1.0, g, n=8),
+    lambda g, t: sp.d_closed(t, "i", 1.0, g, 1.0),
+    lambda g, t: sp.d_closed(t, "ii", 1.0, g, 1.0),
+    lambda g, t: sp.kappa_gk_closed(t, kind="micro", gamma=g),
+    lambda g, t: sp.kappa_gk_closed(np.float64(t), kind="micro", gamma=g),
+    lambda g, t: sp.kappa_gk_closed(t, kind="canonical", variant="ii",
+                                    gamma=g),
+    lambda g, t: sp.laplace_micro(t, 3, 2, 1.0, g, 1.0, n=8),
+    lambda g, t: sp.laplace_canonical(t, "ii", 1.0, g, 1.0, n=8)],
+    ids=["c_components", "c_infty", "d_closed-i", "d_closed-ii",
+         "kappa-micro", "kappa-micro-numpy-t", "kappa-canonical-ii",
+         "laplace_micro", "laplace_canonical"])
+def test_closed_forms_reject_bad_rate_and_time(call, gamma, t):
+    # rejected up front: gamma = 0 used to raise ZeroDivisionError in the
+    # damping cut-off, gamma < 0 or t = inf to return nan
+    with pytest.raises(ValueError, match=r"^(gamma|t|lam) must be finite"):
+        call(gamma, t)
