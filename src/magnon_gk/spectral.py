@@ -132,7 +132,8 @@ def _tensor_grid(d: int, n: int, power: int):
 
 
 def _integrate_sym(fvec, d: int, n: int, power: int = 3) -> float:
-    """Integral over [0,1]^d of an integrand symmetric per axis about 1/2."""
+    """Integral over [0,1]^d of an integrand symmetric per axis about 1/2
+    that sees theta^2..theta^d only through sum_a sin^2(pi theta^a)."""
     pts, wts = _tensor_grid(d, n, power)
     return float(np.dot(fvec(pts), wts))
 

@@ -550,7 +550,7 @@ def test_fit_exponent_preconditions():
          "kappa-micro", "kappa-micro-numpy-t", "kappa-canonical-ii",
          "laplace_micro", "laplace_canonical"])
 def test_closed_forms_reject_bad_rate_and_time(call, gamma, t):
-    # rejected up front: gamma = 0 used to raise ZeroDivisionError in the
-    # damping cut-off, gamma < 0 or t = inf to return nan
+    # checked before any table or panel is built: with gamma <= 0 the
+    # damping cut-off divides by zero or the modes grow without bound
     with pytest.raises(ValueError, match=r"^(gamma|t|lam) must be finite"):
         call(gamma, t)
