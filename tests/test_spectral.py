@@ -413,6 +413,7 @@ def test_every_cache_is_bounded():
 def test_cached_tables_are_read_only(table):
     tab = table()
     arrays = [*tab.c, *tab.z, tab.wts, *sp._tensor_grid(1, 40, 3),
+              *sp._tensor_grid(3, 6, 3),
               *sp._axis_nodes(40, 3, 0.25), *sp._gauss_legendre(10)]
     for a in arrays:
         with pytest.raises(ValueError):
