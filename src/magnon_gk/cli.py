@@ -174,14 +174,14 @@ def cmd_closedform(cfg: dict) -> int:
     kw = dict(kind=kind, d=d, dstar=dstar, b=b, gamma=gamma_)
     if kind == "canonical":
         kw["variant"] = variant
-    vals = np.array([kappa_gk_closed(t, **kw) for t in times])
+    vals = kappa_gk_closed(times, **kw)
     out = cfg.get("out", "kappa_closed.csv")
     _write_series_csv(out, times, vals, np.zeros_like(vals),
                       header=("t", "value", "err_est"))
-    slope, resid = fit_exponent(times, vals)
-    report = {"schema": "closedform-report-1", "kind": kind,
+    slope, stderr = fit_exponent(times, vals)
+    report = {"schema": "closedform-report-2", "kind": kind,
               "variant": variant, "d": d, "dstar": dstar, "b": b,
-              "gamma": gamma_, "slope": slope, "fit_residual": resid,
+              "gamma": gamma_, "slope": slope, "slope_stderr": stderr,
               "t_window": [tmin, tmax], "config_hash": _config_hash(cfg)}
     rpath = cfg.get("report", "closedform_report.json")
     with open(rpath, "w") as fh:

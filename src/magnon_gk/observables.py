@@ -44,22 +44,34 @@ class QuadraticObservable:
         return cls(spec, np.zeros((m, m)), np.zeros(m), 0.0)
 
     def __post_init__(self):
+        self._check_shape()
+        if np.max(np.abs(self.kernel - self.kernel.T)) > 1e-12:
+            raise SpecError("kernel must be symmetric")
+
+    def _check_shape(self):
         m = self.spec.flat_size
         if self.kernel.shape != (m, m) or self.linear.shape != (m,):
             raise SpecError("observable dimensions do not match spec")
-        if np.max(np.abs(self.kernel - self.kernel.T)) > 1e-12:
-            raise SpecError("kernel must be symmetric")
+
+    @classmethod
+    def _combined(cls, spec, kernel, linear, constant):
+        """A sum or scaling of observables whose kernels were checked: it is
+        symmetric by construction, so only the shapes are checked."""
+        u = cls.__new__(cls)
+        u.spec, u.kernel, u.linear, u.constant = spec, kernel, linear, constant
+        u._check_shape()
+        return u
 
     def __add__(self, other: "QuadraticObservable") -> "QuadraticObservable":
         if other.spec != self.spec:
             raise SpecError("spec mismatch")
-        return QuadraticObservable(self.spec, self.kernel + other.kernel,
-                                   self.linear + other.linear,
-                                   self.constant + other.constant)
+        return self._combined(self.spec, self.kernel + other.kernel,
+                              self.linear + other.linear,
+                              self.constant + other.constant)
 
     def __mul__(self, a: float) -> "QuadraticObservable":
-        return QuadraticObservable(self.spec, a * self.kernel,
-                                   a * self.linear, a * self.constant)
+        return self._combined(self.spec, a * self.kernel, a * self.linear,
+                              a * self.constant)
 
     __rmul__ = __mul__
 

@@ -242,15 +242,17 @@ def _rs_ratio(lam: float, theta: np.ndarray, b: float, gamma: float):
     return R / S
 
 
-def _check_args(gamma: float, t: float, name: str = "t",
-                zero_ok: bool = False):
+def _check_args(gamma: float, t, name: str = "t", zero_ok: bool = False):
     """Reject a noise rate gamma that is not finite and > 0, and a time (or
-    Laplace variable) that is not finite or is below its range."""
+    Laplace variable) that is not finite or is below its range; an array t
+    is rejected if any of its elements is."""
     if not 0.0 < gamma < np.inf:
         raise ValueError(f"gamma must be finite and > 0, got {gamma}")
-    if not ((0.0 <= t < np.inf) if zero_ok else (0.0 < t < np.inf)):
+    ts = np.asarray(t, dtype=float)
+    bad = ~(((0.0 <= ts) if zero_ok else (0.0 < ts)) & (ts < np.inf))
+    if bad.any():
         raise ValueError(f"{name} must be finite and "
-                         f"{'>=' if zero_ok else '>'} 0, got {t}")
+                         f"{'>=' if zero_ok else '>'} 0, got {ts[bad][0]}")
 
 
 def _check_variant(variant: str):
@@ -282,15 +284,20 @@ def laplace_canonical(lam: float, variant: str, b: float, gamma: float,
 # oscillatory panel quadrature (for the cos(alpha t) terms)
 
 
-def _panel_nodes(phase_fn, t: float, lo: float, hi: float,
-                 coarse: int = 512, per_panel: int = 10,
+# intervals of the grid on which _panel_nodes follows the phase
+_COARSE = 512
+
+
+def _panel_nodes(profile: tuple, t: float, hi: float, per_panel: int = 10,
                  rad_per_panel: float = np.pi / 4):
-    """Nodes/weights on [lo,hi] with panel density following the phase."""
-    g = np.linspace(lo, hi, coarse + 1)
-    ph = phase_fn(g) * t
+    """Nodes/weights on [0, hi] with panel density following the phase,
+    t times the phase rate ``profile`` interpolated on a coarse grid."""
+    g = np.linspace(0.0, hi, _COARSE + 1)
+    ph = np.interp(g, *profile) * t
     arc = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(ph)))])
     # add a uniform floor so flat-phase regions still get panels
-    arc = arc + np.linspace(0.0, max(16.0 * rad_per_panel, 1e-9), coarse + 1)
+    arc = arc + np.linspace(0.0, max(16.0 * rad_per_panel, 1e-9),
+                            _COARSE + 1)
     n_panels = max(16, int(arc[-1] / rad_per_panel) + 1)
     levels = np.linspace(0.0, arc[-1], n_panels + 1)
     edges = np.interp(levels, arc, g)
@@ -317,31 +324,34 @@ def _damping_cutoff(gamma: float, t: float, scale: float = 0.5,
 # triangular-window time integral
 
 
-# coefficients of T sum_k (zT)^k/(k+2)!, highest power first
+# coefficients of sum_k x^k/(k+2)!, highest power first
 _WINDOW_SERIES = 1.0 / np.array([math.factorial(k + 2)
                                  for k in range(13, -1, -1)], dtype=float)
 
 
-def triangular_window_integral(z, T: float):
-    """int_0^T (1 - t/T) e^{z t} dt (vectorized); real for real z.
+def triangular_window_integral(z, T):
+    """int_0^T (1 - t/T) e^{z t} dt (vectorized, z and T broadcast together);
+    real for real z.
 
-    The closed form -1/z - (1 - e^{zT})/(z^2 T) is taken on the whole array,
-    with e^{zT} evaluated only where Re(zT) > -746: below that it underflows
-    to 0, and 0 is what the mask leaves there.  The closed form cancels at
-    small |zT| (4e-14 relative at |zT| = 0.1, 2e-15 at 0.5), so the points
-    with |zT| < 0.5 are overwritten by the series T sum_k (zT)^k/(k+2)!,
-    summed in Horner form to k = 13.
+    It is T W(zT) with W(x) = int_0^1 (1 - u) e^{xu} du.  The closed form
+    W(x) = -1/x - (1 - e^x)/x^2 is taken on the whole array, with e^x
+    evaluated only where Re x > -746: below that it underflows to 0, and 0
+    is what the mask leaves there.  The closed form cancels at small |x|
+    (4e-14 relative at |x| = 0.1, 2e-15 at 0.5), so the points with
+    |x| < 0.5 are overwritten by the series sum_k x^k/(k+2)!, summed in
+    Horner form to k = 13.
     """
     z = np.asarray(z, dtype=np.result_type(z, float))
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    x = z * T
-    ez = np.exp(x, out=np.zeros_like(x), where=x.real > -746.0)
+    x = z * np.asarray(T, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    ex = np.exp(x, out=np.zeros_like(x), where=x.real > -746.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = -1.0 / z - (1.0 - ez) / (z * z * T)
-    small = np.abs(z) * T < 0.5
+        w = -1.0 / x - (1.0 - ex) / (x * x)
+    small = np.abs(x) < 0.5
     if small.any():
-        out[small] = T * np.polyval(_WINDOW_SERIES, x[small])
+        w[small] = np.polyval(_WINDOW_SERIES, x[small])
+    out = T * w
     return out[0] if scalar else out
 
 
@@ -456,7 +466,10 @@ class _Table(NamedTuple):
     part of the kernel without e^{zt}, and panels that follow the phase over
     [0, cut(t)] take the rest (a cut-off of 0 drops it).  ``panel`` maps
     panel nodes to those rows there; the panel weights are multiplied by
-    ``fold``, the symmetry factor the grid weights carry.
+    ``fold``, the symmetry factor the grid weights carry.  ``profile`` is
+    the phase rate sum_k |Im z_k| of the panel rows on a theta grid, built
+    with the table and read-only: the phase at time t is t times its
+    interpolant.
     """
 
     c: tuple
@@ -466,6 +479,15 @@ class _Table(NamedTuple):
     panel: Callable | None = None
     cut: Callable[[float], float] | None = None
     fold: float = 1.0
+    profile: tuple = ()
+
+
+def _phase_profile(panel: Callable, hi: float, refine: int) -> tuple:
+    """(theta, sum_k |Im z_k(theta)|) of the panel rows on [0, hi], on a
+    grid that holds every point of ``_panel_nodes``' coarse grid over
+    [0, hi]: where the cut-off is hi the interpolant is exact there."""
+    th = np.linspace(0.0, hi, refine * _COARSE + 1)
+    return _frozen(th, sum(np.abs(zk.imag) for zk in panel(th)[1]))
 
 
 def _uniform_rows(pts, b: float, gamma: float, panel: bool = False):
@@ -495,10 +517,14 @@ def _uniform_rows(pts, b: float, gamma: float, panel: bool = False):
 def _uniform_table(d: int, b: float, gamma: float, n: int) -> _Table:
     pts, wts = _tensor_grid(d, n, 3)
     c, z = _uniform_rows(pts, b, gamma)
-    return _Table(_frozen(*c), _frozen(*z), wts,
-                  n_panel=int(d == 1 and b != 0.0),
-                  panel=lambda th: _uniform_rows(th, b, gamma, panel=True),
-                  cut=lambda t: _damping_cutoff(gamma, t), fold=2.0)
+    if d != 1 or b == 0.0:
+        return _Table(_frozen(*c), _frozen(*z), wts)
+
+    def panel(th):
+        return _uniform_rows(th, b, gamma, panel=True)
+    return _Table(_frozen(*c), _frozen(*z), wts, n_panel=1, panel=panel,
+                  cut=lambda t: _damping_cutoff(gamma, t), fold=2.0,
+                  profile=_phase_profile(panel, 0.5, 16))
 
 
 def _alternate_rows(th, b: float, gamma: float, panel: bool = False):
@@ -539,11 +565,15 @@ def _alternate_table(b: float, gamma: float, n: int) -> _Table:
         return _Table(_frozen(*c), _frozen(*z), wts)
     th, wts = _axis_nodes(n, 3, 0.25)
     c, z = _alternate_rows(th, b, gamma)
+
+    def panel(th):
+        return _alternate_rows(th, b, gamma, panel=True)
     # the oscillating rows carry an exact e^{-2 gamma t}: once that
-    # underflows their panel part is dropped
-    return _Table(_frozen(*c), _frozen(*z), wts, n_panel=2,
-                  panel=lambda th: _alternate_rows(th, b, gamma, panel=True),
-                  cut=lambda t: 0.25 if 2.0 * gamma * t < 500.0 else 0.0)
+    # underflows their panel part is dropped.  The cut-off is 1/4 or 0, so
+    # the profile needs only the coarse grid.
+    return _Table(_frozen(*c), _frozen(*z), wts, n_panel=2, panel=panel,
+                  cut=lambda t: 0.25 if 2.0 * gamma * t < 500.0 else 0.0,
+                  profile=_phase_profile(panel, 0.25, 1))
 
 
 # Kernels as (K(z, t), K without its e^{zt} part, the factor of e^{zt} in K).
@@ -553,44 +583,84 @@ _WINDOW = (triangular_window_integral,
            lambda z, t: 1.0 / (z * z * t))
 
 
-def _assemble(table: _Table, kernel, t: float) -> np.ndarray:
-    """Zone integral of Re c_k K(z_k) at time t, one value per table row."""
+# values per row and block of times in ``_assemble``: bounds its temporaries
+# for a long series (one d=3, n=64 grid column is 133,120 complex values);
+# a panel row is budgeted _PANEL_NODES nodes per time (1,000-2,500 for
+# t >~ 100)
+_GRID_CHUNK = 1 << 17
+_PANEL_NODES = 2048
+
+
+def _assemble(table: _Table, kernel, t) -> np.ndarray:
+    """Zone integrals of Re c_k K(z_k) at the times t, flattened (a scalar
+    is a series of one time): rows x times.
+
+    The times go in blocks: the grid kernel is evaluated on grid x block,
+    and the panel rows once on the panel nodes of the whole block.
+    """
     full, smooth, tail = kernel
     split = table.n_panel
-    kz = {}  # rows that share a z array share its kernel values
-    vals = []
-    for k, (ck, zk) in enumerate(zip(table.c, table.z)):
-        key = (id(zk), k < split)
-        if key not in kz:
-            kz[key] = (smooth if k < split else full)(zk, t)
-        vals.append(float((ck * kz[key]).real @ table.wts))
-    cut = table.cut(t) if split else 0.0
-    if cut > 0.0:
-        def phase(th):
-            return sum(np.abs(zk.imag) for zk in table.panel(th)[1])
+    t = np.asarray(t, dtype=float).ravel()
+    out = np.empty((len(table.c), len(t)))
+    step = max(1, _GRID_CHUNK // (len(table.wts) + _PANEL_NODES * split))
+    for j in range(0, len(t), step):
+        tj = t[j:j + step]
+        kz = {}  # rows that share a z array share its kernel values
+        for k, (ck, zk) in enumerate(zip(table.c, table.z)):
+            key = (id(zk), k < split)
+            if key not in kz:
+                kz[key] = (smooth if k < split else full)(zk[:, None], tj)
+            out[k, j:j + step] = table.wts @ (ck[:, None] * kz[key]).real
+        if split:
+            out[:split, j:j + step] += _panel_sums(table, tail, tj)
+    return out
 
-        nodes, wq = _panel_nodes(phase, t, 0.0, cut)
-        c, z = table.panel(nodes)
-        for k in range(split):
-            vals[k] += table.fold * float(
-                (c[k] * tail(z[k], t) * np.exp(z[k] * t)).real @ wq)
-    return np.array(vals)
+
+def _panel_sums(table: _Table, tail, t: np.ndarray) -> np.ndarray:
+    """The panel parts of a table's first ``n_panel`` rows at the times t:
+    Re c_k tail(z_k) e^{z_k t} over [0, cut(t)], rows x times."""
+    sums = np.zeros((table.n_panel, len(t)))
+    nodes, wq, at = [], [], []
+    for i, ti in enumerate(t):
+        cut = table.cut(ti)
+        if cut > 0.0:
+            x, w = _panel_nodes(table.profile, ti, cut)
+            nodes.append(x)
+            wq.append(w)
+            at.append(np.full(len(x), i))
+    if not nodes:
+        return sums
+    at = np.concatenate(at)
+    tn = t[at]
+    c, z = table.panel(np.concatenate(nodes))
+    wq = table.fold * np.concatenate(wq)
+    for k in range(table.n_panel):
+        vals = (c[k] * tail(z[k], tn) * np.exp(z[k] * tn)).real * wq
+        sums[k] = np.bincount(at, vals, minlength=len(t))
+    return sums
+
+
+def _shaped(values: np.ndarray, t):
+    """Values over the flattened t in the shape of t: a float for scalar t."""
+    out = values.reshape(np.shape(t))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 
 
-def c_components(t: float, d: int, b: float, gamma: float,
-                 n: int = 500):
+def c_components(t, d: int, b: float, gamma: float, n: int = 500):
     """The four theta-integral components of the correlation at time t.
 
     One per row of the uniform-charge table: c1 the oscillatory cos(a1 t)
     term, c2/c3 the exp(-z2 t), exp(-z3 t) pair, c4 the uncoupled-component
-    term.  At B=0, c1 = 0 and c2 = c3 = c4/2.
+    term.  At B=0, c1 = 0 and c2 = c3 = c4/2.  Each has the shape of t (a
+    scalar or an array of times).
     """
     _check_args(gamma, t, zero_ok=True)
-    return tuple(_assemble(_uniform_table(d, b, gamma, n), _EXP, t))
+    rows = _assemble(_uniform_table(d, b, gamma, n), _EXP, t)
+    return tuple(_shaped(r, t) for r in rows)
 
 
 def _uniform_weights(dstar: int) -> np.ndarray:
@@ -598,35 +668,39 @@ def _uniform_weights(dstar: int) -> np.ndarray:
     return np.array([2.0, 2.0, 2.0, dstar - 2.0]) / dstar ** 2
 
 
-def c_infty(t: float, d: int = 1, dstar: int = 2, b: float = 1.0,
-            gamma: float = 1.0, e: float = 1.0, n: int = 500) -> float:
-    """Infinite-volume current autocorrelation assembled from components."""
-    return e * e * float(_uniform_weights(dstar)
-                         @ c_components(t, d, b, gamma, n))
+def c_infty(t, d: int = 1, dstar: int = 2, b: float = 1.0,
+            gamma: float = 1.0, e: float = 1.0, n: int = 500):
+    """Infinite-volume current autocorrelation assembled from components;
+    a float for scalar t, an array of t's shape for an array."""
+    _check_args(gamma, t, zero_ok=True)
+    rows = _assemble(_uniform_table(d, b, gamma, n), _EXP, t)
+    return _shaped(e * e * (_uniform_weights(dstar) @ rows), t)
 
 
-def d_closed(t: float, variant: str, b: float, gamma: float, beta: float,
-             n: int = 500) -> float:
-    """Closed-form canonical current autocorrelation at time t."""
+def d_closed(t, variant: str, b: float, gamma: float, beta: float,
+             n: int = 500):
+    """Closed-form canonical current autocorrelation at time t (a scalar or
+    an array of times, as ``c_infty``)."""
     _check_args(gamma, t, zero_ok=True)
     _check_variant(variant)
     if variant != "ii" or b == 0.0:
         return c_infty(t, 1, 2, b if variant != "0" else 0.0, gamma,
                        2.0 / beta, n)
     rows = _assemble(_alternate_table(b, gamma, n), _EXP, t)
-    return float(np.sum(rows)) * 4.0 / beta ** 2
+    return _shaped(rows.sum(axis=0) * 4.0 / beta ** 2, t)
 
 
-def kappa_gk_closed(t: float, *, kind: str = "micro", d: int = 1,
+def kappa_gk_closed(t, *, kind: str = "micro", d: int = 1,
                     dstar: int = 2, b: float = 1.0, gamma: float = 1.0,
-                    variant: str = "i", n: int = 500) -> float:
+                    variant: str = "i", n: int = 500):
     """Finite-time Green-Kubo integral assembled from closed forms.
 
     kind="micro": (1/E^2) int_0^t (1-s/t) C(s) ds + gamma/(2 dstar);
     kind="canonical": (beta^2/4) int (1-s/t) D(s) ds + gamma/4.
     Both are independent of E and beta.  All time integrals are done
     analytically per wavenumber (triangular window), so only the theta
-    quadrature is numerical.
+    quadrature is numerical.  t is a scalar (the result is a float) or an
+    array of times evaluated in one pass (the result has its shape).
     """
     _check_args(gamma, t)
     if kind not in ("micro", "canonical"):
@@ -640,10 +714,10 @@ def kappa_gk_closed(t: float, *, kind: str = "micro", d: int = 1,
                     "experimental; use d_closed + numerical time "
                     "integration")
             rows = _assemble(_alternate_table(b, gamma, n), _WINDOW, t)
-            return float(np.sum(rows)) + gamma / 4.0
+            return _shaped(rows.sum(axis=0) + gamma / 4.0, t)
         d, dstar, b = 1, 2, (b if variant != "0" else 0.0)
     rows = _assemble(_uniform_table(d, b, gamma, n), _WINDOW, t)
-    return float(_uniform_weights(dstar) @ rows) + gamma / (2.0 * dstar)
+    return _shaped(_uniform_weights(dstar) @ rows + gamma / (2.0 * dstar), t)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +725,12 @@ def kappa_gk_closed(t: float, *, kind: str = "micro", d: int = 1,
 
 
 def fit_exponent(times, values, window=None):
-    """Least-squares slope of log(value) vs log(t); returns (slope, stderr)."""
+    """Least-squares slope of log(value) vs log(t); returns (slope, stderr).
+
+    Centred sums; the standard error comes from the residuals,
+    sqrt(sum r^2 / (n - 2) / sum (x - xbar)^2), which does not cancel when
+    the fit is close to exact.
+    """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if window is not None:
@@ -661,6 +740,9 @@ def fit_exponent(times, values, window=None):
         raise ValueError("need at least 8 points in the fit window")
     if np.any(values <= 0):
         raise ValueError("values must be positive for a log-log fit")
-    from scipy.stats import linregress
-    res = linregress(np.log(times), np.log(values))
-    return float(res.slope), float(res.stderr)
+    x, y = np.log(times), np.log(values)
+    x, y = x - x.mean(), y - y.mean()
+    sxx = x @ x
+    slope = (x @ y) / sxx
+    resid = y - slope * x
+    return float(slope), float(np.sqrt(resid @ resid / (len(x) - 2) / sxx))

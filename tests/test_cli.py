@@ -80,6 +80,8 @@ def test_closedform_slope_report(tmp_path, monkeypatch):
     assert code == 0
     rep = json.loads((tmp_path / "r.json").read_text())
     assert abs(rep["slope"] - 0.25) < 0.03
+    assert rep["schema"] == "closedform-report-2"
+    assert 0.0 < rep["slope_stderr"] < 0.03 and "fit_residual" not in rep
     header, data = read_csv(tmp_path / "k.csv")
     assert header == ["t", "value", "err_est"]
     assert len(data) == 10

@@ -1,8 +1,11 @@
 """Every module of the package uses each name it imports (stdlib ast only,
-since no linter is a dependency)."""
+since no linter is a dependency), and the package runs without scipy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -77,3 +80,26 @@ def test_every_top_level_name_is_referenced():
     orphans = [f"{path.name}:{name}" for path in sorted(PKG.glob("*.py"))
                for name in sorted(top_level_names(path.read_text()) - used)]
     assert orphans == []
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    # every module, an exponent fit and a closed-form series through the CLI,
+    # in a fresh interpreter: scipy is a test dependency only
+    probe = f"""
+import importlib, sys
+for name in {sorted(p.stem for p in PKG.glob("*.py"))!r}:
+    importlib.import_module("magnon_gk." + name)
+import numpy as np
+from magnon_gk import cli, spectral
+ts = np.logspace(1, 3, 10)
+spectral.fit_exponent(ts, ts ** 0.5)
+assert cli.main(["closedform", "--points", "8"]) == 0
+assert "scipy" not in sys.modules
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PKG.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    res = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "closedform_report.json").exists()

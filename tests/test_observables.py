@@ -85,6 +85,23 @@ def test_kernel_symmetry_checked_to_1e12_absolute():
     QuadraticObservable(spec, K, np.zeros(m))
 
 
+def test_symmetry_checked_where_kernels_come_in(monkeypatch):
+    # the generator's kernels are checked where they are built; the sums and
+    # scalings in between are symmetric by construction
+    spec = SPECS[0]
+    rng = np.random.default_rng(2)
+    u = random_obs(spec, rng)
+    checks = []
+    post_init = QuadraticObservable.__post_init__
+    monkeypatch.setattr(QuadraticObservable, "__post_init__",
+                        lambda self: checks.append(1) or post_init(self))
+    residual_norm(0.7, u, 2.0 * u, drift_matrix(spec))
+    assert len(checks) == 2  # apply_drift and apply_swap_sum
+    # a sum or scaling still checks its shapes
+    with pytest.raises(SpecError):
+        u * np.ones((2, 1, 1))
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_drift_matches_finite_difference_flow(spec):
     # (u(e^{eps M} z) - u(e^{-eps M} z)) / (2 eps) ~ (Mu)(z)

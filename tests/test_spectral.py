@@ -412,7 +412,8 @@ def test_every_cache_is_bounded():
     ids=["uniform-d1-B1", "uniform-d2-B0", "alternate", "alternate-complex"])
 def test_cached_tables_are_read_only(table):
     tab = table()
-    arrays = [*tab.c, *tab.z, tab.wts, *sp._tensor_grid(1, 40, 3),
+    arrays = [*tab.c, *tab.z, tab.wts, *tab.profile,
+              *sp._tensor_grid(1, 40, 3),
               *sp._tensor_grid(3, 6, 3),
               *sp._axis_nodes(40, 3, 0.25), *sp._gauss_legendre(10)]
     for a in arrays:
@@ -524,6 +525,32 @@ def test_fit_exponent_power_law_and_log():
     assert s2 < s1  # slope drifts toward zero for log growth
 
 
+# the five series of acceptance criterion 2
+CRITERION_2 = [dict(kind="micro"), dict(kind="micro", dstar=3),
+               dict(kind="micro", b=0.0), dict(kind="canonical", variant="i"),
+               dict(kind="canonical", variant="ii", gamma=0.5)]
+
+
+@pytest.mark.parametrize("kw", CRITERION_2,
+                         ids=["micro", "micro-dstar3", "micro-B0",
+                              "canonical-i", "canonical-ii"])
+def test_fit_exponent_matches_linregress(kw):
+    from scipy.stats import linregress
+    ts = np.logspace(4, 7, 16)
+    vals = sp.kappa_gk_closed(ts, **kw)
+    slope, err = sp.fit_exponent(ts, vals)
+    assert slope == pytest.approx(linregress(np.log(ts), np.log(vals)).slope,
+                                  rel=1e-12, abs=0)
+    # linregress takes the stderr from 1 - r^2, which cancels when r ~ 1;
+    # the residual form in extended precision is the reference
+    x, y = np.log(ts).astype(np.longdouble), np.log(vals).astype(np.longdouble)
+    x, y = x - x.mean(), y - y.mean()
+    b = (x @ y) / (x @ x)
+    r = y - b * x
+    want = np.sqrt(r @ r / (len(ts) - 2) / (x @ x))
+    assert err == pytest.approx(float(want), rel=1e-12, abs=0)
+
+
 def test_fit_exponent_preconditions():
     ts = np.logspace(1, 2, 10)
     with pytest.raises(ValueError):
@@ -532,10 +559,13 @@ def test_fit_exponent_preconditions():
         sp.fit_exponent(ts, np.concatenate([[-1.0], ts[1:]]))
 
 
-@pytest.mark.parametrize("gamma,t", [(0.0, 10.0), (-1.0, 10.0),
-                                     (np.nan, 10.0), (np.inf, 10.0),
-                                     (1.0, np.inf), (1.0, np.nan),
-                                     (1.0, -1.0)])
+@pytest.mark.parametrize("gamma,t", [
+    (0.0, 10.0), (-1.0, 10.0), (np.nan, 10.0), (np.inf, 10.0),
+    (1.0, np.inf), (1.0, np.nan), (1.0, -1.0),
+    pytest.param(1.0, np.array([10.0, np.nan]), id="1.0-array-nan"),
+    pytest.param(1.0, np.array([[1.0, 2.0], [np.inf, 3.0]]),
+                 id="1.0-array-inf"),
+    pytest.param(1.0, [5.0, -1.0, 7.0], id="1.0-list-negative")])
 @pytest.mark.parametrize("call", [
     lambda g, t: sp.c_components(t, 1, 1.0, g),
     lambda g, t: sp.c_infty(t, 3, 2, 1.0, g, n=8),
@@ -555,3 +585,41 @@ def test_closed_forms_reject_bad_rate_and_time(call, gamma, t):
     # damping cut-off divides by zero or the modes grow without bound
     with pytest.raises(ValueError, match=r"^(gamma|t|lam) must be finite"):
         call(gamma, t)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: sp.c_infty(t, 1, 2, 1.0, 1.0),
+    lambda t: sp.c_infty(t, 3, 3, 0.5, 1.0, n=8),
+    lambda t: sp.d_closed(t, "i", 1.0, 1.0, 1.0),
+    lambda t: sp.d_closed(t, "ii", 1.0, 0.5, 1.0),
+    lambda t: sp.kappa_gk_closed(t, kind="micro", b=0.0),
+    lambda t: sp.kappa_gk_closed(t, kind="micro", dstar=3, b=2.0),
+    lambda t: sp.kappa_gk_closed(t, kind="canonical", variant="ii"),
+    lambda t: sp.c_components(t, 1, 1.0, 1.0)[0],
+    lambda t: sp.c_components(t, 2, 1.0, 1.0, n=20)[3]],
+    ids=["c_infty", "c_infty-d3", "d_closed-i", "d_closed-ii", "micro-B0",
+         "micro-dstar3", "canonical-ii", "c_components-c1",
+         "c_components-d2-c4"])
+def test_scalar_t_gives_float_array_t_gives_array(call):
+    ts = np.array([[0.5, 3.0, 16.0], [40.0, 200.0, 1e3]])
+    got = call(ts)
+    assert isinstance(got, np.ndarray) and got.shape == ts.shape
+    for t, v in zip(ts.ravel(), got.ravel()):
+        one = call(t)
+        assert type(one) is float
+        assert one == pytest.approx(v, rel=1e-12, abs=0)
+    assert call(ts[:1, :1]).shape == (1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: sp.kappa_gk_closed(t, kind="micro"),
+    lambda t: sp.kappa_gk_closed(t, kind="canonical", variant="ii"),
+    lambda t: sp.c_infty(t, 2, 2, 1.0, 1.0, n=60)],
+    ids=["micro-d1", "canonical-ii", "c_infty-d2"])
+def test_series_split_into_blocks(monkeypatch, call):
+    # blocks of 5, 3 and 3 times for these tables: the last block is short
+    ts = np.array([0.5, 3.0, 16.0, 40.0, 200.0, 1e3, 1e4])
+    monkeypatch.setattr(sp, "_GRID_CHUNK", 3 * (500 + 2 * sp._PANEL_NODES))
+    got = call(ts)
+    for t, v in zip(ts, got):
+        assert call(t) == pytest.approx(v, rel=1e-12, abs=0)
