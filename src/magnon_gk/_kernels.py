@@ -26,6 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .lattice import omega2, site_coords
+
 # Read by the benchmark's environment record; there is no compiled loop.
 HAVE_NUMBA = False
 
@@ -37,14 +39,12 @@ def mode_coupling(spec):
     omega^2 = sum_a 4 sin^2(pi xi_a / N).  Deformation coords (d=1):
     g = e^{i phi} - 1 and h = 1 - e^{-i phi} with phi = 2 pi xi / N.
     """
-    n = spec.n
-    axes = np.meshgrid(*([np.arange(n) / n] * spec.d), indexing="ij")
-    om2 = sum(4.0 * np.sin(np.pi * a) ** 2 for a in axes).ravel()
+    theta = site_coords(spec) / spec.n
     if spec.coords == "position":
         g = np.ones(spec.nsites, dtype=complex)
     else:
-        g = np.exp(2j * np.pi * axes[0]) - 1.0
-    return g, om2
+        g = np.exp(2j * np.pi * theta[:, 0]) - 1.0
+    return g, omega2(theta)
 
 
 def eigen_tables(g, om2, b):

@@ -72,8 +72,7 @@ def _spec_from_cfg(cfg: dict) -> LatticeSpec:
     return LatticeSpec(d=int(cfg["d"]), dstar=int(cfg["dstar"]),
                        n=int(cfg["n"]), b=float(cfg["b"]),
                        gamma=float(cfg["gamma"]),
-                       charge=cfg.get("charge", "uniform"),
-                       coords=cfg.get("coords", "position"))
+                       charge=cfg["charge"], coords=cfg["coords"])
 
 
 def _write_series_csv(path: str, times, values, stderr, header=("t", "value",
@@ -89,11 +88,10 @@ def _initial_state(spec: LatticeSpec, cfg: dict, seed: int, index: int):
     from .rng import stream
     from .sampling import sample_canonical, sample_microcanonical
     rng = stream(seed, "init", index)
-    if cfg.get("ensemble", "canonical") == "micro":
-        return sample_microcanonical(spec, float(cfg.get("e", 1.0)), rng)
+    if cfg["ensemble"] == "micro":
+        return sample_microcanonical(spec, float(cfg["e"]), rng)
     tau = cfg.get("tau", (0.0, 0.0))
-    return sample_canonical(spec, float(cfg.get("beta", 1.0)), tau=tau,
-                            rng=rng)
+    return sample_canonical(spec, float(cfg["beta"]), tau=tau, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +101,13 @@ def _initial_state(spec: LatticeSpec, cfg: dict, seed: int, index: int):
 def cmd_simulate(cfg: dict) -> int:
     from . import dynamics as dy
     spec = _spec_from_cfg(cfg)
-    out_dir = cfg.get("out", "trajectories")
+    out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
-    seed = int(cfg.get("seed", 0))
-    n_traj = int(cfg.get("n_traj", 1))
-    t_end = float(cfg.get("t_end", 1.0))
-    dt_out = float(cfg.get("dt_out", 0.25))
-    track = cfg.get("track", "total")
+    seed = int(cfg["seed"])
+    n_traj = int(cfg["n_traj"])
+    t_end = float(cfg["t_end"])
+    dt_out = float(cfg["dt_out"])
+    track = cfg["track"]
     backend = dy.make_backend(spec)
     meta = {"config": {k: v for k, v in cfg.items() if k != "func"},
             "config_hash": _config_hash(cfg), "files": []}
@@ -129,7 +127,7 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_correlate(cfg: dict) -> int:
     from . import dynamics as dy
     from .greenkubo import estimate_correlation, estimate_kappa
-    in_dir = cfg.get("input", "trajectories")
+    in_dir = cfg["input"]
     meta_path = os.path.join(in_dir, "meta.json")
     if not os.path.isdir(in_dir) or not os.path.exists(meta_path):
         raise SpecError(f"no trajectory set at {in_dir}")
@@ -143,9 +141,9 @@ def cmd_correlate(cfg: dict) -> int:
     scfg = meta["config"]
     dt_out = float(trajs[0].dt_out)
     corr = estimate_correlation(trajs, spec.nsites, dt_out,
-                                a=int(cfg.get("direction", 0)),
-                                estimator=cfg.get("estimator", "stationary"))
-    out = cfg.get("out", "correlation.csv")
+                                a=int(cfg["direction"]),
+                                estimator=cfg["estimator"])
+    out = cfg["out"]
     _write_series_csv(out, corr.times, corr.values, corr.stderr)
     kw = {"gamma": spec.gamma, "dstar": spec.dstar}
     if scfg.get("ensemble", "canonical") == "micro":
@@ -153,7 +151,7 @@ def cmd_correlate(cfg: dict) -> int:
     else:
         kw["beta"] = float(scfg.get("beta", 1.0))
     kap = estimate_kappa(trajs, **kw)
-    kout = cfg.get("kappa_out", "kappa.csv")
+    kout = cfg["kappa_out"]
     _write_series_csv(kout, kap.times, kap.values, kap.stderr)
     print(f"wrote {out} and {kout} ({len(trajs)} trajectories)")
     return 0
@@ -161,21 +159,21 @@ def cmd_correlate(cfg: dict) -> int:
 
 def cmd_closedform(cfg: dict) -> int:
     from .spectral import fit_exponent, kappa_gk_closed
-    kind = cfg.get("kind", "micro")
-    variant = cfg.get("variant", "i")
-    d = int(cfg.get("d", 1))
-    dstar = int(cfg.get("dstar", 2))
-    b = float(cfg.get("b", 1.0))
-    gamma_ = float(cfg.get("gamma", 1.0))
-    tmin = float(cfg.get("tmin", 1e4))
-    tmax = float(cfg.get("tmax", 1e7))
-    pts = int(cfg.get("points", 25))
+    kind = cfg["kind"]
+    variant = cfg["variant"]
+    d = int(cfg["d"])
+    dstar = int(cfg["dstar"])
+    b = float(cfg["b"])
+    gamma_ = float(cfg["gamma"])
+    tmin = float(cfg["tmin"])
+    tmax = float(cfg["tmax"])
+    pts = int(cfg["points"])
     times = np.logspace(np.log10(tmin), np.log10(tmax), pts)
     kw = dict(kind=kind, d=d, dstar=dstar, b=b, gamma=gamma_)
     if kind == "canonical":
         kw["variant"] = variant
     vals = kappa_gk_closed(times, **kw)
-    out = cfg.get("out", "kappa_closed.csv")
+    out = cfg["out"]
     _write_series_csv(out, times, vals, np.zeros_like(vals),
                       header=("t", "value", "err_est"))
     slope, stderr = fit_exponent(times, vals)
@@ -183,7 +181,7 @@ def cmd_closedform(cfg: dict) -> int:
               "variant": variant, "d": d, "dstar": dstar, "b": b,
               "gamma": gamma_, "slope": slope, "slope_stderr": stderr,
               "t_window": [tmin, tmax], "config_hash": _config_hash(cfg)}
-    rpath = cfg.get("report", "closedform_report.json")
+    rpath = cfg["report"]
     with open(rpath, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
     print(f"slope {slope:.4f}; wrote {out} and {rpath}")
@@ -194,11 +192,10 @@ def cmd_certify(cfg: dict) -> int:
     from .resolvent import run_certification
     from .rng import stream
     from .sampling import ensemble_checks
-    n = int(cfg.get("n", 8))
-    rep = run_certification(n=n)
+    rep = run_certification(int(cfg["n"]))
     spec = LatticeSpec(d=1, dstar=2, n=9, b=1.0, gamma=1.0)
-    ens = ensemble_checks(spec, 2.0, int(cfg.get("samples", 2000)),
-                          stream(int(cfg.get("seed", 0)), "init"))
+    ens = ensemble_checks(spec, 2.0, int(cfg["samples"]),
+                          stream(int(cfg["seed"]), "init"))
     report = {"schema": "certify-report-1", "resolvent": {
         "pass": rep["pass"], "cases": len(rep["cases"]),
         "max_residual": max(
@@ -207,7 +204,7 @@ def cmd_certify(cfg: dict) -> int:
         "ensemble": {k: v for k, v in ens.items() if k != "samples"},
         "pass": bool(rep["pass"] and ens["pass"]),
         "config_hash": _config_hash(cfg)}
-    out = cfg.get("out", "certify_report.json")
+    out = cfg["out"]
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True, default=float)
     print(f"certification {'PASS' if report['pass'] else 'FAIL'}; wrote {out}")
@@ -216,9 +213,9 @@ def cmd_certify(cfg: dict) -> int:
 
 def cmd_sample(cfg: dict) -> int:
     spec = _spec_from_cfg(cfg)
-    seed = int(cfg.get("seed", 0))
-    n_samples = int(cfg.get("samples", 1))
-    out = cfg.get("out", "samples.csv")
+    seed = int(cfg["seed"])
+    n_samples = int(cfg["samples"])
+    out = cfg["out"]
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["sample", "field", "component", "site", "value"])

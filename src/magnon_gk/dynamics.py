@@ -29,8 +29,8 @@ import numpy as np
 
 from . import _kernels as kn
 from .lattice import (LatticeSpec, PhaseState, QuadratureError, SpecError,
-                      bond_currents, neighbor_tables, site_coords,
-                      site_energies, site_index)
+                      bond_currents, flat_slice, neighbor_tables,
+                      site_coords, site_energies, site_index)
 from .observables import drift_matrix, total_current_observable
 from .rng import stream
 
@@ -70,10 +70,10 @@ class FourierBlock(_Exact):
     """Exact per-mode evolution; requires a translation-invariant charge.
 
     The field is carried as complex channels: f1 + i f2, whose modes follow
-    the flow at the field B (at 0 for zero charge), then f3, f4, ... at
-    B = 0; with dstar = 1 the single component is the only channel.  Each
-    channel runs on the eigen-amplitude tables of ``_kernels.eigen_tables``,
-    and ifft of the first channel is f1 + i f2 directly.
+    the flow at the field B, then f3, f4, ... at B = 0; with dstar = 1 the
+    single component is the only channel.  Each channel runs on the
+    eigen-amplitude tables of ``_kernels.eigen_tables``, and ifft of the
+    first channel is f1 + i f2 directly.
     """
 
     kind = "fourier"
@@ -86,7 +86,7 @@ class FourierBlock(_Exact):
         self.spec = spec
         g, om2 = kn.mode_coupling(spec)
         free = kn.eigen_tables(g, om2, 0.0)
-        b = spec.b if spec.charge == "uniform" else 0.0   # b = 0 if dstar = 1
+        b = spec.b   # b = 0 if dstar = 1
         tabs = [kn.eigen_tables(g, om2, b) if b else free]
         tabs += [free] * (spec.dstar - 2)
         # per channel: (..., channel, mode) tables and the frame rate -ib/2
@@ -227,16 +227,16 @@ class _FourierModes:
 class DenseEigen(_Exact):
     """One-time eigendecomposition of the full linear drift (any charge).
 
-    Position-coordinate specs with an uncoupled component (B = 0, zero
-    charge or dstar != 2) are rejected: their k=0 mode is a Jordan block,
-    which an eigendecomposition does not resolve.
+    Position-coordinate specs with an uncoupled component (B = 0 or
+    dstar != 2) are rejected: their k=0 mode is a Jordan block, which an
+    eigendecomposition does not resolve.
     """
 
     kind = "dense"
 
     def __init__(self, spec: LatticeSpec):
         if spec.coords == "position" and not (
-                spec.charge == "uniform" and spec.b != 0 and spec.dstar == 2):
+                spec.b != 0 and spec.dstar == 2):
             raise BackendError(
                 "drift has a Jordan k=0 block (an uncoupled component in "
                 "position coords); use the fourier backend")
@@ -276,16 +276,17 @@ class _DenseModes:
 
     def states(self, taus):
         blk = self.block
+        spec = blk.spec
         Z = ((np.exp(np.outer(taus, blk.vals)) * self.c) @ blk.vecs.T).real
-        half = blk.spec.dstar * blk.spec.nsites
-        shape = (-1, blk.spec.dstar, blk.spec.nsites)
-        return Z[:, :half].reshape(shape), Z[:, half:].reshape(shape)
+        shape = (-1, spec.dstar, spec.nsites)
+        return (Z[:, flat_slice(spec, "pos")].reshape(shape),
+                Z[:, flat_slice(spec, "vel")].reshape(shape))
 
     def exchange(self, j: int, a: int, x: int) -> float:
         blk = self.block
         spec = blk.spec
         plus, _ = neighbor_tables(spec)
-        base = (spec.dstar + j) * spec.nsites     # v^j in (pos ‖ vel)
+        base = flat_slice(spec, "vel", j).start
         rx, ry = base + x, base + int(plus[a][x])
         vx, vy = (blk.vecs[[rx, ry]] @ self.c).real
         self.c += (vy - vx) * (blk.vinv[:, rx] - blk.vinv[:, ry])
@@ -301,14 +302,12 @@ class _DenseModes:
         return np.tensordot(self.block._gcur, cc, axes=2).real
 
 
-def make_backend(spec: LatticeSpec, kind: str | None = None):
-    if kind is None:
-        kind = "fourier" if spec.charge != "alternate" else "dense"
-    if kind == "fourier":
-        return FourierBlock(spec)
-    if kind == "dense":
+def make_backend(spec: LatticeSpec):
+    """The per-mode backend, or the dense one for the alternate charge,
+    which couples modes xi and xi + N/2."""
+    if spec.charge == "alternate":
         return DenseEigen(spec)
-    raise BackendError(f"unknown backend kind {kind!r}")
+    return FourierBlock(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +540,8 @@ def simulate_current_series(s0: PhaseState, t_end: float, dt_out: float,
     ``FourierBlock`` amplitudes, but it records the instantaneous current
     rather than its integral and applies each exchange through
     ``_kernels.run_loop``'s bond-difference rows: no quadrature and no
-    transform inside the loop, O(N) per event.  Requires d=1, dstar=2 and a
-    zero or uniform charge.  Returns (times, current series, PhaseState at
+    transform inside the loop, O(N) per event.  Requires d=1, dstar=2 and
+    the uniform charge.  Returns (times, current series, PhaseState at
     times[-1]).
     """
     spec = s0.spec

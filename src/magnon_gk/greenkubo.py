@@ -118,15 +118,15 @@ def safe_lag_window(n: int) -> float:
 
 def estimate_kappa(trajectories, a: int = 0, b: int = 0, *,
                    e: float | None = None, beta: float | None = None,
-                   dstar: int = 2, gamma: float | None = None,
-                   skip: int = 1) -> CorrelationSeries:
+                   dstar: int = 2,
+                   gamma: float | None = None) -> CorrelationSeries:
     """Direct finite-time conductivity estimate on the trajectory grid.
 
     Uses the cumulative deterministic current integrals stored by
     ``simulate(track="total")``.  Exactly one of ``e`` (microcanonical,
     energy per site) or ``beta`` (canonical) must be given; ``gamma`` adds
     the exchange-noise constant when a == b (pass the model's gamma).
-    ``skip`` drops the first grid points (t=0 is excluded always).
+    The grid point t=0, where the estimate divides by t, is left out.
     """
     trajs = list(trajectories)
     if not trajs:
@@ -134,13 +134,13 @@ def estimate_kappa(trajectories, a: int = 0, b: int = 0, *,
     if (e is None) == (beta is None):
         raise SpecError("give exactly one of e (micro) or beta (canonical)")
     spec = trajs[0].spec
-    times = trajs[0].times[skip:]
+    times = trajs[0].times[1:]
     if len(times) == 0:
-        raise SpecError("no grid points left after skip")
+        raise SpecError("no grid points after t=0")
     prods = np.empty((len(trajs), len(times)))
     for i, tr in enumerate(trajs):
-        ja = tr.det_current[skip:, a]
-        jb = tr.det_current[skip:, b]
+        ja = tr.det_current[1:, a]
+        jb = tr.det_current[1:, b]
         prods[i] = ja * jb
     mean, err = jackknife(prods)
     if e is not None:

@@ -7,7 +7,11 @@ a magnetic field of signed strength ``b``; a conservative exchange noise of
 rate ``gamma`` swaps velocity components across bonds.
 
 Sites are stored in row-major order: ``index = x[0]*n**(d-1) + ... + x[d-1]``.
-State arrays have shape ``(dstar, n**d)``.
+State arrays have shape ``(dstar, n**d)``; the flat coordinate vector is
+(pos ‖ vel), each field component by component (``flat_slice``).  The
+charge is uniform or alternate; the model without a field is b = 0.  The
+wavenumber of a mode is ``site_coords(spec) / n``, and ``omega2`` its squared
+frequency.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-CHARGES = ("zero", "uniform", "alternate")
+CHARGES = ("uniform", "alternate")
+FIELDS = ("pos", "vel")
 COORDS = ("position", "deformation")
 
 
@@ -49,7 +54,9 @@ class LatticeSpec:
         if self.gamma <= 0:
             raise SpecError("gamma must be > 0")
         if self.charge not in CHARGES:
-            raise SpecError(f"charge must be one of {CHARGES}")
+            raise SpecError(f"charge must be one of {CHARGES}, not "
+                            f"{self.charge!r}; the model without a field "
+                            "is b = 0")
         if self.coords not in COORDS:
             raise SpecError(f"coords must be one of {COORDS}")
         if self.b != 0.0 and self.dstar < 2:
@@ -76,8 +83,6 @@ class LatticeSpec:
 
     def site_charges(self) -> np.ndarray:
         """Per-site charge factor multiplying the magnetic coupling."""
-        if self.charge == "zero":
-            return np.zeros(self.nsites)
         if self.charge == "uniform":
             return np.ones(self.nsites)
         # alternate: d=1 guaranteed by the invariants
@@ -94,6 +99,26 @@ class LatticeSpec:
         return cls(d=int(obj["d"]), dstar=int(obj["dstar"]), n=int(obj["n"]),
                    b=float(obj["b"]), gamma=float(obj["gamma"]),
                    charge=obj["charge"], coords=obj["coords"])
+
+
+def flat_slice(spec: LatticeSpec, field: str, j: int | None = None) -> slice:
+    """Slice of component j of ``field`` ("pos" or "vel") in the flat
+    (pos ‖ vel) vector, or of the whole field if j is None: pos^0 ...
+    pos^{dstar-1}, then vel^0 ... vel^{dstar-1}, each nsites long."""
+    size = spec.dstar * spec.nsites
+    start = FIELDS.index(field) * size
+    if j is None:
+        return slice(start, start + size)
+    start += j * spec.nsites
+    return slice(start, start + spec.nsites)
+
+
+def omega2(theta):
+    """Squared mode frequency 4 sum_a sin^2(pi theta^a) at wavenumbers
+    theta whose last axis runs over the d directions; a scalar theta is
+    one point of d=1."""
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    return 4.0 * np.sum(np.sin(np.pi * th) ** 2, axis=-1)
 
 
 def site_index(spec: LatticeSpec, x) -> int:
@@ -160,10 +185,9 @@ class PhaseState:
 
     @classmethod
     def from_flat(cls, spec: LatticeSpec, z: np.ndarray, time: float = 0.0):
-        half = spec.dstar * spec.nsites
-        pos = z[:half].reshape(spec.dstar, spec.nsites).copy()
-        vel = z[half:].reshape(spec.dstar, spec.nsites).copy()
-        return cls(spec, pos, vel, time)
+        shape = (spec.dstar, spec.nsites)
+        return cls(spec, z[flat_slice(spec, "pos")].reshape(shape).copy(),
+                   z[flat_slice(spec, "vel")].reshape(shape).copy(), time)
 
 
 def zero_state(spec: LatticeSpec) -> PhaseState:
@@ -236,9 +260,9 @@ def total_current(state: PhaseState, a: int = 0) -> float:
 @dataclass
 class ConservedSnapshot:
     total_energy: float
-    pseudomomentum: np.ndarray | None = None   # position coords, uniform charge
+    pseudomomentum: np.ndarray | None = None   # position coords, b != 0
     total_deformation: np.ndarray | None = None  # deformation coords
-    total_velocity: np.ndarray | None = None   # zero charge (both coords)
+    total_velocity: np.ndarray | None = None   # b = 0 (both coords)
     alt_invariants: np.ndarray | None = None   # alternate charge, 2-vector
 
     def as_vector(self) -> np.ndarray:
@@ -253,8 +277,10 @@ class ConservedSnapshot:
 def conserved_snapshot(state: PhaseState) -> ConservedSnapshot:
     spec = state.spec
     snap = ConservedSnapshot(total_energy=total_energy(state))
+    if spec.b == 0.0:
+        snap.total_velocity = np.sum(state.vel, axis=1)
     if spec.coords == "position":
-        if spec.charge == "uniform" and spec.dstar >= 2:
+        if spec.b != 0.0:   # uniform charge and dstar >= 2 here
             # pseudomomentum: v + B sigma q in the coupled plane, v elsewhere
             p = np.sum(state.vel, axis=1)
             sq = np.sum(state.pos, axis=1)
@@ -262,12 +288,8 @@ def conserved_snapshot(state: PhaseState) -> ConservedSnapshot:
             p[0] += spec.b * (-sq[1])
             p[1] += spec.b * sq[0]
             snap.pseudomomentum = p
-        if spec.charge == "zero":
-            snap.total_velocity = np.sum(state.vel, axis=1)
     else:
         snap.total_deformation = np.sum(state.pos, axis=1)
-        if spec.charge == "zero":
-            snap.total_velocity = np.sum(state.vel, axis=1)
         if spec.charge == "alternate":
             even = np.arange(0, spec.n, 2)
             v, r = state.vel, state.pos

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeSpec, PhaseState, SpecError, neighbor_tables
+from .lattice import (LatticeSpec, PhaseState, SpecError, flat_slice,
+                      neighbor_tables)
 
 DENSE_CAP = 4096  # max dstar * N^d
 
@@ -91,30 +92,31 @@ def eval_observable(u: QuadraticObservable, s: PhaseState) -> float:
     return float(z @ u.kernel @ z + u.linear @ z + u.constant)
 
 
+def _hopping(spec: LatticeSpec) -> np.ndarray:
+    """sum_a (S_a + S_a^T) over sites, S_a[x, x + e_a] = 1: the graph
+    Laplacian of the lattice is this minus 2d."""
+    eye = np.eye(spec.nsites)
+    plus, minus = neighbor_tables(spec)
+    return sum(eye[p] + eye[m] for p, m in zip(plus, minus))
+
+
 def harmonic_drift_matrix(spec: LatticeSpec) -> np.ndarray:
     """Field-free drift A as a matrix over flattened coordinates."""
     _check_cap(spec)
-    ns, ds = spec.nsites, spec.dstar
     m = spec.flat_size
     A = np.zeros((m, m))
-    P = lambda j, i: j * ns + i
-    V = lambda j, i: ds * ns + j * ns + i
-    plus, minus = neighbor_tables(spec)
+    eye = np.eye(spec.nsites)
     if spec.coords == "position":
-        for j in range(ds):
-            for i in range(ns):
-                A[P(j, i), V(j, i)] = 1.0
-                A[V(j, i), P(j, i)] -= 2.0 * spec.d
-                for a in range(spec.d):
-                    A[V(j, i), P(j, plus[a][i])] += 1.0
-                    A[V(j, i), P(j, minus[a][i])] += 1.0
+        # q' = v, v' = (hopping - 2d) q
+        pv, vp = eye, _hopping(spec) - 2.0 * spec.d * eye
     else:
-        for j in range(ds):
-            for i in range(ns):
-                A[P(j, i), V(j, (i + 1) % ns)] += 1.0
-                A[P(j, i), V(j, i)] -= 1.0
-                A[V(j, i), P(j, i)] += 1.0
-                A[V(j, i), P(j, (i - 1) % ns)] -= 1.0
+        # r_x' = v_{x+1} - v_x, v_x' = r_x - r_{x-1}
+        pv = eye[neighbor_tables(spec)[0][0]] - eye
+        vp = -pv.T
+    for j in range(spec.dstar):
+        P, V = flat_slice(spec, "pos", j), flat_slice(spec, "vel", j)
+        A[P, V] = pv
+        A[V, P] = vp
     return A
 
 
@@ -124,16 +126,14 @@ def field_generator_matrix(spec: LatticeSpec) -> np.ndarray:
     The field contributes B*G to the drift; G is independent of B itself.
     """
     _check_cap(spec)
-    ns, ds = spec.nsites, spec.dstar
     m = spec.flat_size
     G = np.zeros((m, m))
-    if ds < 2:
+    if spec.dstar < 2:
         return G
-    c = spec.site_charges()
-    V = lambda j, i: ds * ns + j * ns + i
-    for i in range(ns):
-        G[V(0, i), V(1, i)] = c[i]
-        G[V(1, i), V(0, i)] = -c[i]
+    c = np.diag(spec.site_charges())
+    V0, V1 = flat_slice(spec, "vel", 0), flat_slice(spec, "vel", 1)
+    G[V0, V1] = c
+    G[V1, V0] = -c
     return G
 
 
@@ -148,17 +148,14 @@ def apply_drift(u: QuadraticObservable, M: np.ndarray) -> QuadraticObservable:
                                M.T @ u.linear, 0.0)
 
 
-def swap_pairs(spec: LatticeSpec):
-    """All (i1, i2) flattened-index pairs the exchange noise can swap."""
-    ns, ds = spec.nsites, spec.dstar
+def swap_pairs(spec: LatticeSpec) -> np.ndarray:
+    """All (i1, i2) flattened-index pairs the exchange noise can swap, as
+    rows of an array: by direction, then component, then site."""
     plus, _ = neighbor_tables(spec)
-    pairs = []
-    for a in range(spec.d):
-        for j in range(ds):
-            base = ds * ns + j * ns
-            for i in range(ns):
-                pairs.append((base + i, base + plus[a][i]))
-    return pairs
+    site = np.arange(spec.nsites)
+    return np.concatenate([np.stack([site, p], axis=1)
+                           + flat_slice(spec, "vel", j).start
+                           for p in plus for j in range(spec.dstar)])
 
 
 def apply_swap_sum(u: QuadraticObservable) -> QuadraticObservable:
@@ -169,7 +166,7 @@ def apply_swap_sum(u: QuadraticObservable) -> QuadraticObservable:
     part by -e (e.b).
     """
     K, lin = u.kernel, u.linear
-    i1, i2 = np.array(swap_pairs(u.spec)).T
+    i1, i2 = swap_pairs(u.spec).T
     v = K[i1] - K[i2]  # v = K e of each pair, as a row (K is symmetric)
     p = np.arange(len(i1))
     ev = v[p, i1] - v[p, i2]
@@ -203,23 +200,16 @@ def residual_norm(lam: float, u: QuadraticObservable,
 
 def total_energy_observable(spec: LatticeSpec) -> QuadraticObservable:
     u = QuadraticObservable.zeros(spec)
-    ns, ds = spec.nsites, spec.dstar
-    half = ds * ns
-    for k in range(half):
-        u.kernel[half + k, half + k] = 0.5
+    eye = np.eye(spec.nsites)
     if spec.coords == "position":
-        plus, _ = neighbor_tables(spec)
-        for a in range(spec.d):
-            for j in range(ds):
-                for i in range(ns):
-                    p, q = j * ns + i, j * ns + plus[a][i]
-                    u.kernel[p, p] += 0.5
-                    u.kernel[q, q] += 0.5
-                    u.kernel[p, q] -= 0.5
-                    u.kernel[q, p] -= 0.5
+        # 1/4 sum over bonds, both ends, of (q_y - q_x)^2
+        pp = spec.d * eye - 0.5 * _hopping(spec)
     else:
-        for k in range(half):
-            u.kernel[k, k] = 0.5
+        pp = 0.5 * eye
+    for j in range(spec.dstar):
+        P, V = flat_slice(spec, "pos", j), flat_slice(spec, "vel", j)
+        u.kernel[P, P] = pp
+        u.kernel[V, V] = 0.5 * eye
     return u
 
 
@@ -228,18 +218,19 @@ def _add_bond_current(u: QuadraticObservable, x, a: int):
     site index x or an array of them: -1/2 sum_j (q_y - q_x)(v_x + v_y), or
     -1/2 sum_j r_x (v_x + v_y) in deformation coords, with y = x + e_a."""
     spec = u.spec
-    ns, ds = spec.nsites, spec.dstar
     x = np.atleast_1d(x)
     y = neighbor_tables(spec)[0][a][x]
-    comp = np.arange(ds)[:, None] * ns
-    if spec.coords == "position":
-        pos = ((comp + y, -0.25), (comp + x, 0.25))
-    else:
-        pos = ((comp + x, -0.25),)
-    for p, c in pos:
-        for v in (ds * ns + comp + x, ds * ns + comp + y):
-            np.add.at(u.kernel, (p, v), c)
-            np.add.at(u.kernel, (v, p), c)
+    for j in range(spec.dstar):
+        q = flat_slice(spec, "pos", j).start
+        v = flat_slice(spec, "vel", j).start
+        if spec.coords == "position":
+            pos = ((q + y, -0.25), (q + x, 0.25))
+        else:
+            pos = ((q + x, -0.25),)
+        for p, c in pos:
+            for w in (v + x, v + y):
+                np.add.at(u.kernel, (p, w), c)
+                np.add.at(u.kernel, (w, p), c)
 
 
 def total_current_observable(spec: LatticeSpec, a: int = 0) -> QuadraticObservable:

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .lattice import LatticeSpec, SpecError, site_coords
+from .lattice import LatticeSpec, SpecError, flat_slice, omega2, site_coords
 from .observables import (
     QuadraticObservable, drift_matrix, field_generator_matrix,
     harmonic_drift_matrix, residual_norm, total_current_observable,
@@ -25,18 +25,14 @@ class SingularKernelError(SpecError):
     """The per-wavenumber linear system is singular (unexpected for lam>0)."""
 
 
-def _omega2_theta(theta: np.ndarray) -> np.ndarray:
-    """omega^2 summed over axes; theta has the axis index last."""
-    return np.sum(4.0 * np.sin(np.pi * theta) ** 2, axis=-1)
-
-
 def ghat_scalar(theta, lam: float, gamma: float) -> complex:
     """Fourier kernel for the magnetically decoupled components.
 
-    theta is a point of [0,1]^d (scalar accepted for d=1).
+    theta: points of [0,1]^d with the axis last (a scalar is one point of
+    d=1).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    om2 = _omega2_theta(theta)
+    om2 = omega2(theta)
     return 1j * np.sin(2 * np.pi * theta[..., 0]) / (lam + gamma * om2)
 
 
@@ -61,7 +57,7 @@ def _uniform_matrix(om2, b: float, gamma: float, lam: float) -> np.ndarray:
 def ghat_uniform(theta, lam: float, b: float, gamma: float) -> np.ndarray:
     """(g^1..g^4) Fourier values for the uniformly charged coupled plane."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    om2 = _omega2_theta(theta)
+    om2 = omega2(theta)
     rhs = np.zeros(np.shape(om2) + (4,), dtype=complex)
     rhs[..., 1] = 1j * np.sin(2 * np.pi * theta[..., 0])
     try:
@@ -111,22 +107,22 @@ def hhat_alternate(theta, lam: float, b: float, gamma: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # real-space kernels at the lattice wavenumbers xi/N
 
-def _theta_grid(n: int, d: int) -> np.ndarray:
-    """Array of shape (n,)*d + (d,) with theta = xi/N at each wavenumber."""
-    axes = np.meshgrid(*([np.arange(n) / n] * d), indexing="ij")
-    return np.stack(axes, axis=-1)
+def _real_space(spec: LatticeSpec, ghat: np.ndarray) -> np.ndarray:
+    """Inverse lattice transform of values at the wavenumbers
+    ``site_coords(spec) / n``, flattened row-major."""
+    return np.fft.ifftn(ghat.reshape((spec.n,) * spec.d)).real.ravel()
 
 
-def scalar_kernel(n: int, d: int, lam: float, gamma: float) -> np.ndarray:
+def scalar_kernel(spec: LatticeSpec, lam: float) -> np.ndarray:
     """Real-space antisymmetric kernel g on the lattice, flattened row-major."""
-    ghat = ghat_scalar(_theta_grid(n, d), lam, gamma)
-    return np.fft.ifftn(ghat).real.ravel()
+    ghat = ghat_scalar(site_coords(spec) / spec.n, lam, spec.gamma)
+    return _real_space(spec, ghat)
 
 
-def uniform_kernels(n: int, d: int, lam: float, b: float,
-                    gamma: float) -> list[np.ndarray]:
-    ghat = ghat_uniform(_theta_grid(n, d), lam, b, gamma)
-    return [np.fft.ifftn(ghat[..., i]).real.ravel() for i in range(4)]
+def uniform_kernels(spec: LatticeSpec, lam: float) -> list[np.ndarray]:
+    """Real-space kernels (g^1, g^2, g^3, g^4) of the coupled plane."""
+    ghat = ghat_uniform(site_coords(spec) / spec.n, lam, spec.b, spec.gamma)
+    return [_real_space(spec, ghat[:, i]) for i in range(4)]
 
 
 def alternate_kernels(n: int, lam: float, b: float,
@@ -155,51 +151,51 @@ def _diff_table(spec: LatticeSpec) -> np.ndarray:
 def position_observable(spec: LatticeSpec, lam: float) -> QuadraticObservable:
     """The resolvent solution u over (q, v) coordinates.
 
-    The returned observable lives on a zero-charge position spec of the same
-    size; the charge pattern of ``spec`` selects which kernel set is used.
+    The returned observable lives on the field-free (b = 0) position spec of
+    the same size; the charge pattern and field of ``spec`` select the
+    kernels.
     """
     if lam <= 0:
         raise SpecError("lam must be > 0")
     u = QuadraticObservable.zeros(replace(spec, coords="position",
-                                          charge="zero"))
-    ns, ds, n, d = spec.nsites, spec.dstar, spec.n, spec.d
+                                          charge="uniform", b=0.0))
+    ds = spec.dstar
     tbl = _diff_table(spec)
-    P = lambda j: slice(j * ns, (j + 1) * ns)
-    V = lambda j: slice(ds * ns + j * ns, ds * ns + (j + 1) * ns)
-    if spec.charge == "zero":
-        G = scalar_kernel(n, d, lam, spec.gamma)[tbl]
-        for j in range(ds):
-            u.add_sym(P(j), V(j), G)
-    elif spec.charge == "uniform":
-        g1, g2, g3, g4 = (g[tbl] for g in
-                          uniform_kernels(n, d, lam, spec.b, spec.gamma))
-        u.add_sym(P(0), P(1), g1)
-        u.add_sym(P(0), V(0), g2)
-        u.add_sym(P(1), V(1), g2)
-        u.add_sym(P(0), V(1), g3)
-        u.add_sym(P(1), V(0), -g3)
-        u.add_sym(V(0), V(1), g4)
-        if ds > 2:
-            G = scalar_kernel(n, d, lam, spec.gamma)[tbl]
-            for j in range(2, ds):
-                u.add_sym(P(j), V(j), G)
+    P = [flat_slice(spec, "pos", j) for j in range(ds)]
+    V = [flat_slice(spec, "vel", j) for j in range(ds)]
+    if spec.charge == "uniform":
+        # components 0 and 1 form the coupled plane, the rest are free
+        # (as is the one component of dstar = 1, where b = 0)
+        plane = 2 if ds >= 2 else 0
+        if plane:
+            g1, g2, g3, g4 = (g[tbl] for g in uniform_kernels(spec, lam))
+            u.add_sym(P[0], P[1], g1)
+            u.add_sym(P[0], V[0], g2)
+            u.add_sym(P[1], V[1], g2)
+            u.add_sym(P[0], V[1], g3)
+            u.add_sym(P[1], V[0], -g3)
+            u.add_sym(V[0], V[1], g4)
+        if ds > plane:
+            G = scalar_kernel(spec, lam)[tbl]
+            for j in range(plane, ds):
+                u.add_sym(P[j], V[j], G)
     else:  # alternate
         h1, h2, h3, h4 = (h[tbl] for h in
-                          alternate_kernels(n, lam, spec.b, spec.gamma))
-        sy = (-1.0) ** np.arange(n)  # (-1)^y column weights
-        u.add_sym(P(0), P(1), h1 * sy)
-        u.add_sym(V(0), V(1), h2 * sy)
-        u.add_sym(P(0), V(0), h3)
-        u.add_sym(P(1), V(1), h3)
-        u.add_sym(P(0), V(1), h4 * sy)
-        u.add_sym(P(1), V(0), -h4 * sy)
+                          alternate_kernels(spec.n, lam, spec.b, spec.gamma))
+        sy = (-1.0) ** np.arange(spec.n)  # (-1)^y column weights
+        u.add_sym(P[0], P[1], h1 * sy)
+        u.add_sym(V[0], V[1], h2 * sy)
+        u.add_sym(P[0], V[0], h3)
+        u.add_sym(P[1], V[1], h3)
+        u.add_sym(P[0], V[1], h4 * sy)
+        u.add_sym(P[1], V[0], -h4 * sy)
     return u
 
 
 def position_residual(spec: LatticeSpec, lam: float) -> float:
     """Residual of (lam - L)u = sum_x j^a in (q, v) coordinates.
 
-    u is stored on a zero-charge position spec; L carries the charge pattern
+    u is stored on the field-free position spec; L carries the charge pattern
     of ``spec`` through its field matrix, which depends only on the charges
     and sizes (the alternate pattern has no position-coordinate LatticeSpec
     of its own).
@@ -214,13 +210,14 @@ def phi_matrix(spec: LatticeSpec) -> np.ndarray:
     """Linear map (r ‖ v) -> (q ‖ v) with q_x = -sum_{y>=x}(r_y - rbar)."""
     if spec.coords != "deformation":
         raise SpecError("phi_matrix requires deformation coords")
-    ns, ds = spec.nsites, spec.dstar
+    ns = spec.nsites
     x = np.arange(ns)
     block = -(x[None, :] >= x[:, None]).astype(float) + \
         (ns - x[:, None]) / ns
     t = np.eye(spec.flat_size)
-    for j in range(ds):
-        t[j * ns:(j + 1) * ns, j * ns:(j + 1) * ns] = block
+    for j in range(spec.dstar):
+        P = flat_slice(spec, "pos", j)
+        t[P, P] = block
     return t
 
 
@@ -241,11 +238,11 @@ def build_u(spec: LatticeSpec, lam: float) -> QuadraticObservable:
 def rbar_vbar_observable(spec: LatticeSpec) -> QuadraticObservable:
     """N * sum_j rbar^j vbar^j as a quadratic observable (deformation)."""
     u = QuadraticObservable.zeros(spec)
-    ns, ds = spec.nsites, spec.dstar
+    ns = spec.nsites
     flat = np.full((ns, ns), 1.0 / ns)
-    for j in range(ds):
-        u.add_sym(slice(j * ns, (j + 1) * ns),
-                  slice(ds * ns + j * ns, ds * ns + (j + 1) * ns), flat)
+    for j in range(spec.dstar):
+        u.add_sym(flat_slice(spec, "pos", j), flat_slice(spec, "vel", j),
+                  flat)
     return u
 
 
@@ -253,35 +250,32 @@ def vstarstar(spec: LatticeSpec, lam: float) -> QuadraticObservable:
     """Closed-form solution of (lam - L_r)v = N sum_j rbar^j vbar^j."""
     if spec.coords != "deformation":
         raise SpecError("vstarstar requires deformation coords")
-    ns, ds = spec.nsites, spec.dstar
+    ns = spec.nsites
     b, gamma = spec.b, spec.gamma
     u = QuadraticObservable.zeros(spec)
-    R = lambda j: slice(j * ns, (j + 1) * ns)
-    V = lambda j: slice(ds * ns + j * ns, ds * ns + (j + 1) * ns)
+    R = [flat_slice(spec, "pos", j) for j in range(spec.dstar)]
+    V = [flat_slice(spec, "vel", j) for j in range(spec.dstar)]
     # coef * flat at (rows of f, columns of g) adds coef/N (sum_x f_x)(sum_y
     # g_y) to u; alt weighs the second sum by (-1)^y
     flat = np.full((ns, ns), 1.0 / ns)
     alt = flat * (-1.0) ** np.arange(ns)
-    if spec.charge == "zero":
-        for j in range(ds):
-            u.add_sym(R(j), V(j), 1.0 / lam * flat)
-    elif spec.charge == "uniform":
-        # overall sign fixed against the defining equation (the B=0 limit
-        # must agree with the zero-charge form)
+    if spec.charge == "uniform":
+        # overall sign fixed against the defining equation; at B=0 this is
+        # (1/lam) N sum_j rbar^j vbar^j
         den = lam * lam + b * b
-        u.add_sym(R(0), V(0), lam / den * flat)
-        u.add_sym(R(1), V(0), -b / den * flat)
-        u.add_sym(R(0), V(1), b / den * flat)
-        u.add_sym(R(1), V(1), lam / den * flat)
+        u.add_sym(R[0], V[0], lam / den * flat)
+        u.add_sym(R[1], V[0], -b / den * flat)
+        u.add_sym(R[0], V[1], b / den * flat)
+        u.add_sym(R[1], V[1], lam / den * flat)
     else:  # alternate
         p = lam * lam + 4.0 * gamma * lam + 4.0
         den = lam * (p + b * b)
-        u.add_sym(R(0), V(0), p / den * flat)
-        u.add_sym(R(1), V(0), -b * lam / den * alt)
-        u.add_sym(R(0), V(1), b * lam / den * alt)
-        u.add_sym(R(1), V(1), p / den * flat)
-        u.add_sym(R(0), R(1), 2.0 * b / den * alt)
-        u.add_sym(R(1), R(0), -2.0 * b / den * alt)
+        u.add_sym(R[0], V[0], p / den * flat)
+        u.add_sym(R[1], V[0], -b * lam / den * alt)
+        u.add_sym(R[0], V[1], b * lam / den * alt)
+        u.add_sym(R[1], V[1], p / den * flat)
+        u.add_sym(R[0], R[1], 2.0 * b / den * alt)
+        u.add_sym(R[1], R[0], -2.0 * b / den * alt)
     return u
 
 
@@ -301,10 +295,9 @@ def certify_reduction(spec: LatticeSpec, lam: float) -> dict:
         raise SpecError("certify_reduction requires d=1, dstar=2, "
                         "deformation coords")
     uq = position_observable(spec, lam)
-    ns, ds = spec.nsites, spec.dstar
     row = 0.0
-    for j in range(ds):
-        sl = slice(j * ns, (j + 1) * ns)
+    for j in range(spec.dstar):
+        sl = flat_slice(spec, "pos", j)
         row = max(row, float(np.linalg.norm(uq.kernel[sl].sum(axis=0))),
                   abs(float(uq.linear[sl].sum())))
     drift = drift_matrix(spec)
@@ -324,18 +317,16 @@ def certify_reduction(spec: LatticeSpec, lam: float) -> dict:
     return report
 
 
-def run_certification(n: int = 8, lams=(0.5, 1.0, 2.0), bs=(0.0, 1.0, -2.0),
-                      gammas=(0.5, 1.0)) -> dict:
-    """Full certification matrix over variants and parameters."""
+def run_certification(n: int = 8) -> dict:
+    """Full certification matrix: every charge and coordinate variant at
+    each lam, B and gamma of the matrix, on lattices of size n."""
     cases = []
     ok = True
-    for lam in lams:
-        for b in bs:
-            for gamma in gammas:
+    for lam in (0.5, 1.0, 2.0):
+        for b in (0.0, 1.0, -2.0):
+            for gamma in (0.5, 1.0):
                 specs = [
                     LatticeSpec(d=1, dstar=2, n=n, b=b, gamma=gamma),
-                    LatticeSpec(d=1, dstar=2, n=n, b=0.0, gamma=gamma,
-                                charge="zero", coords="deformation"),
                     LatticeSpec(d=1, dstar=2, n=n, b=b, gamma=gamma,
                                 coords="deformation"),
                     LatticeSpec(d=1, dstar=2, n=n, b=b, gamma=gamma,

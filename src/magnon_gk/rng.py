@@ -11,8 +11,6 @@ import zlib
 
 import numpy as np
 
-STREAMS = ("events", "sites", "init")
-
 
 def stream(seed: int, name: str, index: int = 0) -> np.random.Generator:
     """Independent generator for (seed, name, index).
@@ -22,8 +20,3 @@ def stream(seed: int, name: str, index: int = 0) -> np.random.Generator:
     key = zlib.crc32(name.encode("utf-8"))
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(key, int(index)))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def trajectory_streams(seed: int, index: int = 0) -> dict:
-    """The three named streams used by one trajectory."""
-    return {name: stream(seed, name, index) for name in STREAMS}

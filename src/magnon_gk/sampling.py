@@ -22,16 +22,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import mode_coupling
-from .lattice import (LatticeSpec, PhaseState, SpecError, site_coords,
-                      site_index)
+from .lattice import (LatticeSpec, PhaseState, SpecError, omega2,
+                      site_coords, site_index)
 
 _SQRT2 = np.sqrt(2.0)
 
 
 @lru_cache(maxsize=64)
-def _mode_tables(n: int, d: int):
-    """(pairs, partners, selfs, omega) of the (n, d) lattice, cached and
+def _mode_tables(spec: LatticeSpec):
+    """(pairs, partners, selfs, omega) of the spec's lattice, cached and
     read-only.
 
     ``pairs`` are the flat indices of the {xi,-xi} representatives with
@@ -39,14 +38,13 @@ def _mode_tables(n: int, d: int):
     (2 xi = 0 mod N, xi != 0).  ``omega`` is omega(theta) at each lattice
     wavenumber (flat, row-major), 0 at xi = 0.
     """
-    # any spec with this n and d has the same tables
-    spec = LatticeSpec(d=d, dstar=1, n=n, b=0.0, gamma=1.0)
+    n, coords = spec.n, site_coords(spec)
     idx = np.arange(spec.nsites)
-    neg = np.ravel_multi_index(np.moveaxis((-site_coords(spec)) % n, -1, 0),
-                               (n,) * d)
+    neg = np.ravel_multi_index(np.moveaxis(-coords % n, -1, 0),
+                               (n,) * spec.d)
     pairs = idx[(idx < neg)]
     tables = (pairs, neg[pairs], idx[(idx == neg) & (idx != 0)],
-              np.sqrt(mode_coupling(spec)[1]))
+              np.sqrt(omega2(coords / n)))
     for a in tables:
         a.setflags(write=False)
     return tables
@@ -64,7 +62,7 @@ def sample_microcanonical(spec: LatticeSpec, e: float,
     if e <= 0:
         raise SpecError("e must be > 0")
     ns, ds, n, d = spec.nsites, spec.dstar, spec.n, spec.d
-    pairs, partners, selfs, omega = _mode_tables(n, d)
+    pairs, partners, selfs, omega = _mode_tables(spec)
     m = sphere_dimension(spec)
     g = rng.standard_normal(m)
     g *= np.sqrt(ns * e) / np.linalg.norm(g)
@@ -135,7 +133,7 @@ def _coefficient_vector(spec: LatticeSpec, kind: str, j: int,
     its coefficient vector in the same layout the sampler consumes.
     """
     ns, ds, n = spec.nsites, spec.dstar, spec.n
-    pairs, _, selfs, omega = _mode_tables(n, spec.d)
+    pairs, _, selfs, omega = _mode_tables(spec)
     x = np.atleast_1d(np.asarray(x)) % n
     phase = 2 * np.pi * (site_coords(spec) @ x) / n  # 2 pi xi . x / N
     npair, nself = len(pairs), len(selfs)
@@ -197,22 +195,18 @@ def lemma_fourier_sum(spec: LatticeSpec, e: float, x) -> float:
     x = np.atleast_1d(np.asarray(x))
     num = (np.sin(2 * np.pi * (coords @ x) / n)
            * np.sin(2 * np.pi * coords[:, 0] / n))
-    den = np.sum(np.sin(np.pi * coords / n) ** 2, axis=1)
-    total = np.sum(num[1:] / den[1:])
+    om2 = omega2(coords / n)
+    total = 4.0 * np.sum(num[1:] / om2[1:])
     return float(e * e / spec.dstar ** 2 / ns * total)
 
 
 def ensemble_checks(spec: LatticeSpec, e: float, samples: int,
-                    rng: np.random.Generator, x=None) -> dict:
-    """Monte Carlo estimates of the ensemble facts vs their exact values."""
-    if x is None:
-        x = np.zeros(spec.d, dtype=int)
-        x[0] = 1
-    ix = site_index(spec, x)
-    imx = site_index(spec, -np.atleast_1d(np.asarray(x)))
-    e1 = np.zeros(spec.d, dtype=int)
-    e1[0] = 1
-    ie, ime = site_index(spec, e1), site_index(spec, -e1)
+                    rng: np.random.Generator) -> dict:
+    """Monte Carlo estimates of the ensemble facts vs their exact values,
+    at the site x = e_1."""
+    x = np.zeros(spec.d, dtype=int)
+    x[0] = 1
+    ix, imx = site_index(spec, x), site_index(spec, -x)
     acc = np.zeros((samples, 4))
     for k in range(samples):
         s = sample_microcanonical(spec, e, rng)
@@ -220,8 +214,8 @@ def ensemble_checks(spec: LatticeSpec, e: float, samples: int,
         acc[k, 0] = v0 * v0
         acc[k, 1] = v0 ** 4
         acc[k, 2] = v0 * v0 * s.vel[0, ix] ** 2
-        acc[k, 3] = ((s.pos[0, ix] - s.pos[0, imx])
-                     * (s.pos[0, ie] - s.pos[0, ime]) * v0 * v0)
+        dq = s.pos[0, ix] - s.pos[0, imx]
+        acc[k, 3] = dq * dq * v0 * v0
     exact = microcanonical_moments(spec, e, x)
     keys = ("v2", "v4", "v2v2", "qqvv")
     report = {"n": spec.n, "samples": samples}

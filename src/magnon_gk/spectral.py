@@ -23,7 +23,8 @@ integrand sees those axes only through sum_a sin^2(pi theta^a), so
 ``_tensor_grid`` keeps theta^2 <= ... <= theta^d and weights each kept point
 by its number of orderings (about half the points at d=3).
 
-Conventions: omega2 = 4 sum_a sin^2(pi theta^a); the uniformly charged
+Conventions: omega2 = 4 sum_a sin^2(pi theta^a) (``lattice.omega2``); the
+zone grids are graded as u^3 toward theta = 0; the uniformly charged
 integrand carries the weight sin^2(2 pi theta^1)/omega2 (equal to
 cos^2(pi theta) in one dimension), the canonical ones cos^2(pi theta).
 Canonical variants "0" and "i" are therefore the uniform-charge forms at
@@ -39,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import QuadratureError
+from .lattice import QuadratureError, omega2
 
 
 class ComplexRootRegime(RuntimeError):
@@ -48,20 +49,6 @@ class ComplexRootRegime(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # basic dispersion quantities
-
-
-def omega2(theta) -> float:
-    """4 sum_a sin^2(pi theta^a); theta scalar (d=1) or length-d point."""
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
-    return float(4.0 * np.sum(np.sin(np.pi * th) ** 2))
-
-
-def _omega2_arr(thetas: np.ndarray) -> np.ndarray:
-    """Vectorized omega2 for points of shape (m, d) or (m,)."""
-    th = np.asarray(thetas, dtype=float)
-    if th.ndim == 1:
-        return 4.0 * np.sin(np.pi * th) ** 2
-    return 4.0 * np.sum(np.sin(np.pi * th) ** 2, axis=-1)
 
 
 def dispersion(theta, b: float):
@@ -89,18 +76,18 @@ def _gauss_legendre(n: int):
 
 
 @functools.lru_cache(maxsize=64)
-def _axis_nodes(n: int, power: int, scale: float):
-    """Graded Gauss-Legendre nodes on [0, scale], clustered at 0."""
+def _axis_nodes(n: int, scale: float):
+    """Gauss-Legendre nodes on [0, scale] graded as u^3, clustered at 0."""
     x, w = _gauss_legendre(n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
-    theta = scale * u ** power
-    wt = wu * scale * power * u ** (power - 1)
+    theta = scale * u ** 3
+    wt = wu * scale * 3 * u ** 2
     return _frozen(theta, wt)
 
 
 @functools.lru_cache(maxsize=32)
-def _tensor_grid(d: int, n: int, power: int):
+def _tensor_grid(d: int, n: int):
     """Graded tensor grid on [0,1/2]^d with the 2^d symmetry factor folded in,
     and folded over permutations of the axes 2..d.
 
@@ -114,7 +101,7 @@ def _tensor_grid(d: int, n: int, power: int):
     Returns (points of shape (m, d), weights of shape (m,)), theta^1 the
     outer index.
     """
-    t1, w1 = _axis_nodes(n, power, 0.5)
+    t1, w1 = _axis_nodes(n, 0.5)
     tail = np.array(list(itertools.combinations_with_replacement(
         range(n), d - 1)), dtype=np.intp)
     # prod(count!) over the runs of equal nodes in a (sorted) tail: the
@@ -131,10 +118,10 @@ def _tensor_grid(d: int, n: int, power: int):
     return _frozen(pts, wts * (2.0 ** d))
 
 
-def _integrate_sym(fvec, d: int, n: int, power: int = 3) -> float:
+def _integrate_sym(fvec, d: int, n: int) -> float:
     """Integral over [0,1]^d of an integrand symmetric per axis about 1/2
     that sees theta^2..theta^d only through sum_a sin^2(pi theta^a)."""
-    pts, wts = _tensor_grid(d, n, power)
+    pts, wts = _tensor_grid(d, n)
     return float(np.dot(fvec(pts), wts))
 
 
@@ -187,9 +174,9 @@ def _uniform_arrays(om2: np.ndarray, b: float, gamma: float) -> dict:
 
 
 def _weight_micro(pts: np.ndarray, om2: np.ndarray) -> np.ndarray:
-    """sin^2(2 pi theta^1)/omega2, with the finite continuation at 0."""
-    th1 = pts[:, 0] if pts.ndim == 2 else pts
-    s = np.sin(2.0 * np.pi * th1) ** 2
+    """sin^2(2 pi theta^1)/omega2 at points (m, d), with the finite
+    continuation at 0."""
+    s = np.sin(2.0 * np.pi * pts[:, 0]) ** 2
     return np.divide(s, om2, out=np.ones_like(s), where=om2 > 1e-28)
 
 
@@ -211,7 +198,7 @@ def laplace_micro(lam: float, d: int, dstar: int, b: float, gamma: float,
 
     def val(nn):
         def f(pts):
-            om2 = _omega2_arr(pts)
+            om2 = omega2(pts)
             w = _weight_micro(pts, om2)
             out = 2.0 * w * _pq_ratio(lam, om2, b, gamma)
             if dstar > 2:
@@ -284,24 +271,25 @@ def laplace_canonical(lam: float, variant: str, b: float, gamma: float,
 # oscillatory panel quadrature (for the cos(alpha t) terms)
 
 
-# intervals of the grid on which _panel_nodes follows the phase
+# intervals of the grid on which _panel_nodes follows the phase, the phase
+# one panel spans and its Gauss-Legendre nodes
 _COARSE = 512
+_RAD_PER_PANEL = np.pi / 4
+_PER_PANEL = 10
 
 
-def _panel_nodes(profile: tuple, t: float, hi: float, per_panel: int = 10,
-                 rad_per_panel: float = np.pi / 4):
+def _panel_nodes(profile: tuple, t: float, hi: float):
     """Nodes/weights on [0, hi] with panel density following the phase,
     t times the phase rate ``profile`` interpolated on a coarse grid."""
     g = np.linspace(0.0, hi, _COARSE + 1)
     ph = np.interp(g, *profile) * t
     arc = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(ph)))])
     # add a uniform floor so flat-phase regions still get panels
-    arc = arc + np.linspace(0.0, max(16.0 * rad_per_panel, 1e-9),
-                            _COARSE + 1)
-    n_panels = max(16, int(arc[-1] / rad_per_panel) + 1)
+    arc = arc + np.linspace(0.0, 16.0 * _RAD_PER_PANEL, _COARSE + 1)
+    n_panels = max(16, int(arc[-1] / _RAD_PER_PANEL) + 1)
     levels = np.linspace(0.0, arc[-1], n_panels + 1)
     edges = np.interp(levels, arc, g)
-    x, w = _gauss_legendre(per_panel)
+    x, w = _gauss_legendre(_PER_PANEL)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -309,15 +297,15 @@ def _panel_nodes(profile: tuple, t: float, hi: float, per_panel: int = 10,
     return nodes, wts
 
 
-def _damping_cutoff(gamma: float, t: float, scale: float = 0.5,
-                    logcut: float = 45.0) -> float:
-    """theta above which exp(-gamma*omega2*t) is numerically zero."""
+def _damping_cutoff(gamma: float, t: float) -> float:
+    """theta in [0, 1/2] above which exp(-gamma*omega2*t) is below e^-45,
+    numerically zero."""
     if t <= 0:
-        return scale
-    s2 = logcut / (4.0 * gamma * t)
+        return 0.5
+    s2 = 45.0 / (4.0 * gamma * t)
     if s2 >= 1.0:
-        return scale
-    return min(scale, np.arcsin(np.sqrt(s2)) / np.pi)
+        return 0.5
+    return min(0.5, np.arcsin(np.sqrt(s2)) / np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +485,7 @@ def _uniform_rows(pts, b: float, gamma: float, panel: bool = False):
     coupled plane reduces to p/q = 1/(lam + gw), so the rows are the free
     decay (0, w/2, w/2, w), all at one z = -gw.
     """
-    om2 = _omega2_arr(pts)
+    om2 = omega2(pts)
     w = _weight_micro(pts, om2)
     if b == 0.0:
         z = -gamma * om2
@@ -515,13 +503,13 @@ def _uniform_rows(pts, b: float, gamma: float, panel: bool = False):
 # The tables are bounded caches: one d=3, n=64 entry holds about 10 MB.
 @functools.lru_cache(maxsize=8)
 def _uniform_table(d: int, b: float, gamma: float, n: int) -> _Table:
-    pts, wts = _tensor_grid(d, n, 3)
+    pts, wts = _tensor_grid(d, n)
     c, z = _uniform_rows(pts, b, gamma)
     if d != 1 or b == 0.0:
         return _Table(_frozen(*c), _frozen(*z), wts)
 
     def panel(th):
-        return _uniform_rows(th, b, gamma, panel=True)
+        return _uniform_rows(th[:, None], b, gamma, panel=True)
     return _Table(_frozen(*c), _frozen(*z), wts, n_panel=1, panel=panel,
                   cut=lambda t: _damping_cutoff(gamma, t), fold=2.0,
                   profile=_phase_profile(panel, 0.5, 16))
@@ -563,7 +551,7 @@ def _alternate_table(b: float, gamma: float, n: int) -> _Table:
         c, z = _alternate_rows((np.arange(m) + 0.5) / m * 0.25, b, gamma)
         wts, = _frozen(np.full(m, 0.25 / m))
         return _Table(_frozen(*c), _frozen(*z), wts)
-    th, wts = _axis_nodes(n, 3, 0.25)
+    th, wts = _axis_nodes(n, 0.25)
     c, z = _alternate_rows(th, b, gamma)
 
     def panel(th):

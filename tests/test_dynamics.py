@@ -18,9 +18,9 @@ UNIFORM = LatticeSpec(d=1, dstar=2, n=8, b=1.0, gamma=1.0)
 DEFORM = LatticeSpec(d=1, dstar=2, n=16, b=1.0, gamma=1.0,
                      coords="deformation")
 # B=0 specs whose k=0 mode has a double root: a Jordan block in position
-# coords, the zero matrix in deformation coords with zero charge
+# coords, the zero matrix in deformation coords
 FREE = LatticeSpec(d=1, dstar=2, n=8, b=0.0, gamma=1.0)
-NEUTRAL = LatticeSpec(d=1, dstar=2, n=16, b=1.0, gamma=1.0, charge="zero",
+NEUTRAL = LatticeSpec(d=1, dstar=2, n=16, b=0.0, gamma=1.0,
                       coords="deformation")
 ALT = LatticeSpec(d=1, dstar=2, n=8, b=-2.0, gamma=0.5, charge="alternate",
                   coords="deformation")
@@ -50,7 +50,7 @@ def test_dt_zero_is_identity_and_negative_rejected():
 
 
 def test_single_mode_harmonic_closed_form():
-    spec = LatticeSpec(d=1, dstar=2, n=8, b=0.0, gamma=1.0, charge="zero")
+    spec = LatticeSpec(d=1, dstar=2, n=8, b=0.0, gamma=1.0)
     s = micro_state(spec, 1.0)
     t = 0.9
     out = dy.FourierBlock(spec).propagate(s, t)
@@ -82,8 +82,9 @@ def test_zero_mode_velocity_rotation():
 D2 = LatticeSpec(d=2, dstar=3, n=4, b=1.0, gamma=1.0)
 D3 = LatticeSpec(d=3, dstar=3, n=4, b=-0.7, gamma=1.0)
 SCALAR = LatticeSpec(d=1, dstar=1, n=8, b=0.0, gamma=1.0)
-# zero charge in position coords: both components uncoupled (Jordan k=0)
-ZERO = LatticeSpec(d=1, dstar=2, n=8, b=1.0, gamma=1.0, charge="zero")
+# no field in position coords: both components uncoupled (Jordan k=0); at
+# n=8 this would be FREE again
+ZERO = LatticeSpec(d=1, dstar=2, n=6, b=0.0, gamma=1.0)
 
 
 @pytest.mark.parametrize("spec", [UNIFORM, DEFORM, NEUTRAL, FREE, D2, D3,
@@ -111,8 +112,8 @@ def test_backend_cross_agreement(spec):
 
 @pytest.mark.parametrize("spec", [FREE, D2, D3, SCALAR, ZERO])
 def test_dense_rejects_jordan_specs(spec):
-    # position coords with an uncoupled component (B = 0, zero charge or
-    # dstar != 2): rejected on structure, whatever the eig round-off
+    # position coords with an uncoupled component (B = 0 or dstar != 2):
+    # rejected on structure, whatever the eig round-off
     for _ in range(3):
         with pytest.raises(dy.BackendError, match="Jordan"):
             dy.DenseEigen(spec)
@@ -139,11 +140,10 @@ def test_fourier_rejects_alternate_charge():
     dy.DenseEigen(ALT)  # dense handles it
 
 
-def test_make_backend_auto_and_unknown():
+def test_make_backend_picks_by_charge():
     assert dy.make_backend(UNIFORM).kind == "fourier"
+    assert dy.make_backend(NEUTRAL).kind == "fourier"
     assert dy.make_backend(ALT).kind == "dense"
-    with pytest.raises(dy.BackendError):
-        dy.make_backend(UNIFORM, "spectral")
 
 
 @pytest.mark.parametrize("spec", [UNIFORM, DEFORM, ALT, D2])
@@ -220,7 +220,7 @@ def test_interevent_gaps_are_exponential():
 
 
 def test_decode_triple_roundtrip():
-    spec = LatticeSpec(d=2, dstar=3, n=4, b=0.0, gamma=1.0, charge="zero")
+    spec = LatticeSpec(d=2, dstar=3, n=4, b=0.0, gamma=1.0)
     seen = set()
     for trip in range(3 * 2 * 16):
         j, a, x = dy.decode_triple(spec, trip)
@@ -262,6 +262,18 @@ def test_conservation_and_continuity(spec, key):
     c1 = conserved_snapshot(traj.state(last)).as_vector()
     assert np.abs(c1 - c0).max() < 1e-10
     assert dy.continuity_residual(traj) < 1e-9
+
+
+def test_b0_chain_records_and_conserves_total_velocity():
+    # without a field nothing rotates the velocities, so their sum is
+    # conserved alongside the total deformation
+    s0 = sample_canonical(NEUTRAL, 1.0, rng=stream(4, "init"))
+    traj = dy.simulate(s0, 10.0, 1.0, seed=4, track="none")
+    assert traj.event_count > 0
+    v0 = conserved_snapshot(traj.state(0)).total_velocity
+    v1 = conserved_snapshot(traj.state(len(traj.times) - 1)).total_velocity
+    assert v0 is not None and v0.shape == (2,)
+    assert np.abs(v1 - v0).max() < 1e-12
 
 
 def oracle_state(spec, key):
@@ -320,6 +332,7 @@ def stepwise_oracle(s0, t_end, dt_out, seed, backend, track):
     return states, np.array(dets), bond_det
 
 
+BACKENDS = {"fourier": dy.FourierBlock, "dense": dy.DenseEigen}
 ORACLE_CASES = [(UNIFORM, "fourier"), (UNIFORM, "dense"),
                 (DEFORM, "fourier"), (DEFORM, "dense"),
                 (NEUTRAL, "fourier"), (NEUTRAL, "dense"),
@@ -334,7 +347,7 @@ def test_simulate_matches_stepwise_oracle(spec, kind, track):
     rate = spec.gamma * spec.dstar * spec.d * spec.nsites
     t_end = 120.0 / rate
     s0 = oracle_state(spec, 41)
-    backend = dy.make_backend(spec, kind)
+    backend = BACKENDS[kind](spec)
     traj = dy.simulate(s0, t_end, t_end / 4, seed=41, backend=backend,
                        track=track)
     states, dets, bond_det = stepwise_oracle(s0, t_end, t_end / 4, 41,
@@ -370,7 +383,7 @@ def test_simulate_writes_an_output_rounded_past_t_end():
 @pytest.mark.parametrize("spec,kind", ORACLE_CASES)
 def test_current_integral_matches_quadrature(spec, kind):
     s = oracle_state(spec, 43)
-    backend = dy.make_backend(spec, kind)
+    backend = BACKENDS[kind](spec)
     modes = backend.modes(s)
     modes.advance(0.37)
     mid = backend.propagate(s, 0.37)
@@ -423,7 +436,7 @@ def test_simulate_long_horizon_conservation(spec, kind):
     t_end = 2.0e5 / rate
     s0 = oracle_state(spec, 13)
     traj = dy.simulate(s0, t_end, t_end / 4, seed=13,
-                       backend=dy.make_backend(spec, kind), track="none")
+                       backend=BACKENDS[kind](spec), track="none")
     assert traj.event_count >= 1.99e5
     last = traj.state(len(traj.times) - 1)
     e0 = total_energy(s0)
@@ -459,7 +472,7 @@ def test_canonical_stationarity_moments():
 
 def test_mean_current_vanishes_under_canonical_start():
     spec = LatticeSpec(d=1, dstar=2, n=64, b=0.0, gamma=1.0,
-                       charge="zero", coords="deformation")
+                       coords="deformation")
     means = []
     for idx in range(40):
         s0 = sample_canonical(spec, 1.0, rng=stream(31, "init", idx))

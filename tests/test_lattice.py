@@ -229,3 +229,10 @@ def test_site_index_row_major():
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(SpecError):
         LatticeSpec(**kwargs)
+
+
+def test_stored_zero_charge_points_to_b0():
+    # the charge is uniform or alternate; the no-field model is b = 0
+    stored = LatticeSpec(d=1, dstar=2, n=5, b=0.0, gamma=1.0).to_json()
+    with pytest.raises(SpecError, match="b = 0"):
+        LatticeSpec.from_json(stored.replace('"uniform"', '"zero"'))

@@ -11,10 +11,9 @@ from magnon_gk.observables import (
 
 SPECS = [
     LatticeSpec(d=1, dstar=2, n=6, b=1.5, gamma=0.7),
-    LatticeSpec(d=1, dstar=2, n=6, b=0.0, gamma=0.7, charge="zero"),
+    LatticeSpec(d=1, dstar=2, n=6, b=0.0, gamma=0.7),
     LatticeSpec(d=2, dstar=3, n=4, b=-2.0, gamma=1.0),
-    LatticeSpec(d=1, dstar=2, n=6, b=0.0, gamma=1.0, charge="zero",
-                coords="deformation"),
+    LatticeSpec(d=1, dstar=2, n=6, b=0.0, gamma=1.0, coords="deformation"),
     LatticeSpec(d=1, dstar=2, n=6, b=1.0, gamma=0.5, coords="deformation"),
     LatticeSpec(d=1, dstar=2, n=6, b=1.0, gamma=0.5, charge="alternate",
                 coords="deformation"),
@@ -142,7 +141,7 @@ def test_field_term_on_linear_velocity_sum():
 
 def test_swap_of_single_site_velocity_square():
     # u = (v_0^1)^2 in d=1: two bonds touch site 0
-    spec = LatticeSpec(d=1, dstar=2, n=5, b=0.0, gamma=1.0, charge="zero")
+    spec = LatticeSpec(d=1, dstar=2, n=5, b=0.0, gamma=1.0)
     u = QuadraticObservable.zeros(spec)
     i0 = spec.dstar * spec.nsites
     u.kernel[i0, i0] = 1.0

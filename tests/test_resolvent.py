@@ -13,12 +13,17 @@ DEF = dict(d=1, dstar=2, n=8)
 
 VARIANT_SPECS = [
     LatticeSpec(**DEF, b=1.0, gamma=1.0),
-    LatticeSpec(**DEF, b=0.0, gamma=1.0, charge="zero"),
-    LatticeSpec(**DEF, b=0.0, gamma=0.5, charge="zero", coords="deformation"),
+    LatticeSpec(**DEF, b=0.0, gamma=1.0),
+    LatticeSpec(**DEF, b=0.0, gamma=0.5, coords="deformation"),
     LatticeSpec(**DEF, b=1.0, gamma=1.0, coords="deformation"),
     LatticeSpec(**DEF, b=-2.0, gamma=0.5, charge="alternate",
                 coords="deformation"),
+    LatticeSpec(d=1, dstar=1, n=8, b=0.0, gamma=1.0),
 ]
+
+
+def kernel_spec(n, d, b, gamma):
+    return LatticeSpec(d=d, dstar=2, n=n, b=b, gamma=gamma)
 
 
 def test_ghat_scalar_values():
@@ -32,7 +37,7 @@ def test_ghat_scalar_values():
 
 def test_scalar_kernel_solves_discrete_equation():
     n, lam, g = 16, 1.0, 1.0
-    ker = rv.scalar_kernel(n, 1, lam, g)
+    ker = rv.scalar_kernel(kernel_spec(n, 1, 0.0, g), lam)
     lap = np.roll(ker, -1) - 2 * ker + np.roll(ker, 1)
     rhs = np.zeros(n)
     rhs[-1], rhs[1] = 0.5, -0.5
@@ -40,8 +45,9 @@ def test_scalar_kernel_solves_discrete_equation():
 
 
 @pytest.mark.parametrize("maker,args", [
-    (rv.scalar_kernel, (12, 1, 0.7, 0.9)),
-    (lambda *a: rv.uniform_kernels(*a)[1], (12, 1, 0.7, 1.3, 0.9)),
+    (rv.scalar_kernel, (kernel_spec(12, 1, 0.0, 0.9), 0.7)),
+    (lambda *a: rv.uniform_kernels(*a)[1], (kernel_spec(12, 1, 1.3, 0.9),
+                                            0.7)),
     (lambda *a: rv.alternate_kernels(*a)[2], (12, 0.7, 1.3, 0.9)),
 ])
 def test_kernel_antisymmetry_and_zero_sum(maker, args):
@@ -54,8 +60,9 @@ def test_kernel_antisymmetry_and_zero_sum(maker, args):
 
 def test_uniform_kernels_b0_decouple():
     n = 10
-    g1, g2, g3, g4 = rv.uniform_kernels(n, 1, 1.0, 0.0, 0.8)
-    assert np.allclose(g2, rv.scalar_kernel(n, 1, 1.0, 0.8), atol=1e-13)
+    spec = kernel_spec(n, 1, 0.0, 0.8)
+    g1, g2, g3, g4 = rv.uniform_kernels(spec, 1.0)
+    assert np.allclose(g2, rv.scalar_kernel(spec, 1.0), atol=1e-13)
     for k in (g1, g3, g4):
         assert np.abs(k).max() < 1e-13
 
@@ -191,7 +198,13 @@ def test_certify_reduction_all_variants(spec):
 def test_run_certification_matrix():
     rep = rv.run_certification(n=6)
     assert rep["pass"]
-    assert len(rep["cases"]) == 3 * 3 * 2 * 4
+    assert len(rep["cases"]) == 3 * 3 * 2 * 3
+
+
+def test_run_certification_has_no_repeated_case():
+    cases = rv.run_certification(n=4)["cases"]
+    keys = {(c["spec"], c["lambda"]) for c in cases}
+    assert len(keys) == len(cases)
 
 
 def test_certify_reduction_rejects_position_coords():
@@ -200,7 +213,7 @@ def test_certify_reduction_rejects_position_coords():
 
 
 @pytest.mark.parametrize("charge,variant,b,g", [
-    ("zero", "0", 0.0, 1.0),
+    ("uniform", "0", 0.0, 1.0),
     ("uniform", "i", 1.0, 1.0),
     ("alternate", "ii", 1.0, 0.5),
 ])

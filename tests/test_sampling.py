@@ -4,7 +4,7 @@ from scipy.stats import ks_2samp
 
 from magnon_gk.lattice import LatticeSpec, total_energy
 from magnon_gk import sampling as sa
-from magnon_gk.rng import stream, trajectory_streams
+from magnon_gk.rng import stream
 
 
 def test_streams_are_independent_and_reproducible():
@@ -17,11 +17,6 @@ def test_streams_are_independent_and_reproducible():
     assert not np.array_equal(a1, c)
     d = stream(42, "events", index=1).standard_normal(8)
     assert not np.array_equal(a1, d)
-
-
-def test_trajectory_streams_names():
-    ts = trajectory_streams(0)
-    assert set(ts) == {"events", "sites", "init"}
 
 
 @pytest.mark.parametrize("n,d", [(9, 1), (8, 1), (5, 2), (4, 2)])
@@ -101,7 +96,7 @@ def test_mc_moments_within_three_se():
 
 
 def test_mc_moments_within_three_se_even_n_d2():
-    spec = LatticeSpec(d=2, dstar=2, n=4, b=0.0, gamma=1.0, charge="zero")
+    spec = LatticeSpec(d=2, dstar=2, n=4, b=0.0, gamma=1.0)
     rep = sa.ensemble_checks(spec, 1.0, 2000, stream(8, "init"))
     assert rep["pass"], rep
 

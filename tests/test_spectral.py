@@ -6,17 +6,20 @@ from scipy.integrate import quad
 from scipy.special import ive
 
 from magnon_gk import spectral as sp
+from magnon_gk.lattice import omega2
 
 
 def test_omega2_values():
-    assert sp.omega2(0.0) == 0.0
-    assert sp.omega2(0.5) == pytest.approx(4.0)
-    assert sp.omega2((0.5, 0.5)) == pytest.approx(8.0)
+    assert omega2(0.0) == 0.0
+    assert omega2(0.5) == pytest.approx(4.0)
+    assert omega2((0.5, 0.5)) == pytest.approx(8.0)
+    # vectorised with the axis last
+    assert np.allclose(omega2(np.array([[0.5, 0.5], [0.0, 0.25]])), [8.0, 2.0])
 
 
 def test_dispersion_limits():
     p, m = sp.dispersion(0.3, 0.0)
-    assert p == pytest.approx(m) and p == pytest.approx(np.sqrt(sp.omega2(0.3)))
+    assert p == pytest.approx(m) and p == pytest.approx(np.sqrt(omega2(0.3)))
     p, m = sp.dispersion(0.0, 2.0)
     assert (p, m) == (pytest.approx(2.0), pytest.approx(0.0))
 
@@ -30,13 +33,13 @@ def test_dispersion_flat_at_origin():
                      - sp.dispersion(h, b)[branch]) / h
             assert abs(slope) < 1e-2 * 4  # ~ O(h), not O(1)
         # compare against an acoustic chain where the slope is order 1
-    acoustic = (np.sqrt(sp.omega2(2 * h)) - np.sqrt(sp.omega2(h))) / h
+    acoustic = (np.sqrt(omega2(2 * h)) - np.sqrt(omega2(h))) / h
     assert acoustic > 3.0
 
 
 def _uniform_at(theta, b, g):
     """Uniform-charge coefficients at one wavenumber, as floats."""
-    u = sp._uniform_arrays(np.array([sp.omega2(theta)]), b, g)
+    u = sp._uniform_arrays(np.array([omega2(theta)]), b, g)
     return {k: float(v[0]) for k, v in u.items()}
 
 
@@ -62,7 +65,7 @@ def test_uniform_coeffs_defining_equations():
         b = rng.uniform(-3, 3)
         g = rng.uniform(0.2, 2.0)
         c = _uniform_at(th, b, g)
-        om2 = sp.omega2(th)
+        om2 = omega2(th)
         d = b * b - g * g * om2 * om2 + 4 * om2
         scale = max(1.0, abs(d))
         assert abs(c["a1"] ** 2 - c["a2"] ** 2 - d) <= 1e-10 * scale
@@ -77,7 +80,7 @@ def test_uniform_small_theta_ratios():
     b, g = 1.7, 0.9
     for th, tol in ((1e-3, 2e-4), (1e-5, 2e-8), (1e-7, 2e-11)):
         c = _uniform_at(th, b, g)
-        om2 = sp.omega2(th)
+        om2 = omega2(th)
         assert c["a2"] / (g * om2) == pytest.approx(1.0, abs=tol)
         assert c["b2"] * b * b / om2 == pytest.approx(2.0, abs=tol)
 
@@ -88,7 +91,7 @@ def test_laplace_micro_b0_reduction():
     full = sp.laplace_micro(lam, 1, 2, 0.0, g, 1.0)
 
     def scalar(th):
-        om2 = sp.omega2(th)
+        om2 = omega2(th)
         w = np.cos(np.pi * th) ** 2
         return w / (lam + g * om2)
 
@@ -205,7 +208,7 @@ def test_b0_closed_forms_are_free_decay(d, g, t):
     # at B=0 every mode decays as e^{-gamma omega2 t}, also where
     # omega2 (4 - gamma^2 omega2) < 0 (gamma > 1 in d=1, gamma >= 1 in d >= 2)
     n = 40
-    pts, wts = sp._tensor_grid(d, n, 3)
+    pts, wts = sp._tensor_grid(d, n)
     om2 = 4.0 * np.sum(np.sin(np.pi * pts) ** 2, axis=1)
     w = np.sin(2.0 * np.pi * pts[:, 0]) ** 2 / om2 * wts
     for dstar in (2, 3):
@@ -413,9 +416,9 @@ def test_every_cache_is_bounded():
 def test_cached_tables_are_read_only(table):
     tab = table()
     arrays = [*tab.c, *tab.z, tab.wts, *tab.profile,
-              *sp._tensor_grid(1, 40, 3),
-              *sp._tensor_grid(3, 6, 3),
-              *sp._axis_nodes(40, 3, 0.25), *sp._gauss_legendre(10)]
+              *sp._tensor_grid(1, 40),
+              *sp._tensor_grid(3, 6),
+              *sp._axis_nodes(40, 0.25), *sp._gauss_legendre(10)]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -445,7 +448,7 @@ def test_cold_and_warm_tables_agree_bitwise(f):
 
 def _full_tensor_grid(d, n):
     """The unfolded n^d tensor grid: every axis takes every node."""
-    t1, w1 = sp._axis_nodes(n, 3, 0.5)
+    t1, w1 = sp._axis_nodes(n, 0.5)
     axes = np.meshgrid(*([t1] * d), indexing="ij")
     pts = np.stack([a.ravel() for a in axes], axis=-1)
     waxes = np.meshgrid(*([w1] * d), indexing="ij")
@@ -458,7 +461,7 @@ def _full_tensor_grid(d, n):
 @pytest.mark.parametrize("d,n", [(1, 1), (1, 2), (1, 7), (1, 40), (1, 500),
                                  (2, 1), (2, 2), (2, 7), (2, 40), (2, 160)])
 def test_grids_below_d3_are_the_full_tensor_grid(d, n):
-    for got, want in zip(sp._tensor_grid(d, n, 3), _full_tensor_grid(d, n)):
+    for got, want in zip(sp._tensor_grid(d, n), _full_tensor_grid(d, n)):
         assert np.array_equal(got, want)
 
 
@@ -470,7 +473,7 @@ def test_folded_grid_integrates_like_the_full_grid(d, n):
         s = np.sum(np.sin(np.pi * pts[:, 1:]) ** 2, axis=1)
         return np.cos(3.0 * pts[:, 0]) * np.exp(-s) + pts[:, 0] ** 2 / (1 + s)
 
-    pts, wts = sp._tensor_grid(d, n, 3)
+    pts, wts = sp._tensor_grid(d, n)
     assert len(wts) == n * math.comb(n + d - 2, d - 1)
     if d == 3:
         assert len(wts) == n * n * (n + 1) // 2
@@ -496,7 +499,7 @@ def test_kappa_c1_term_bounded():
 
     def bound_integrand(th):
         c = _uniform_at(th, b, g)
-        gw = g * sp.omega2(th)
+        gw = g * omega2(th)
         return (np.cos(np.pi * th) ** 2 * abs(c["b1"]) * gw
                 / (gw * gw + c["a1"] ** 2))
 
@@ -505,7 +508,7 @@ def test_kappa_c1_term_bounded():
         # isolate the C1 contribution: kappa minus the same without C1
         full = sp.kappa_gk_closed(T, kind="micro", d=1, dstar=2, b=b, gamma=g)
         pts = np.linspace(1e-6, 1 - 1e-6, 20001)
-        u = sp._uniform_arrays(sp._omega2_arr(pts), b, g)
+        u = sp._uniform_arrays(omega2(pts[:, None]), b, g)
         w = np.cos(np.pi * pts) ** 2
         tw2 = sp.triangular_window_integral(-u["z2"], T).real
         tw3 = sp.triangular_window_integral(-u["z3"], T).real
