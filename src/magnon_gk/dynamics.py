@@ -241,6 +241,7 @@ class DenseEigen(_Exact):
                 "drift has a Jordan k=0 block (an uncoupled component in "
                 "position coords); use the fourier backend")
         self.spec = spec
+        self._fields = flat_slice(spec, "pos"), flat_slice(spec, "vel")
         M = drift_matrix(spec)  # enforces the dense size cap
         self.vals, self.vecs = np.linalg.eig(M)
         self.vinv = np.linalg.inv(self.vecs)
@@ -276,11 +277,10 @@ class _DenseModes:
 
     def states(self, taus):
         blk = self.block
-        spec = blk.spec
         Z = ((np.exp(np.outer(taus, blk.vals)) * self.c) @ blk.vecs.T).real
-        shape = (-1, spec.dstar, spec.nsites)
-        return (Z[:, flat_slice(spec, "pos")].reshape(shape),
-                Z[:, flat_slice(spec, "vel")].reshape(shape))
+        shape = (-1, blk.spec.dstar, blk.spec.nsites)
+        pos, vel = blk._fields
+        return Z[:, pos].reshape(shape), Z[:, vel].reshape(shape)
 
     def exchange(self, j: int, a: int, x: int) -> float:
         blk = self.block
