@@ -90,8 +90,8 @@ def _initial_state(spec: LatticeSpec, cfg: dict, seed: int, index: int):
     rng = stream(seed, "init", index)
     if cfg["ensemble"] == "micro":
         return sample_microcanonical(spec, float(cfg["e"]), rng)
-    tau = cfg.get("tau", (0.0, 0.0))
-    return sample_canonical(spec, float(cfg["beta"]), tau=tau, rng=rng)
+    return sample_canonical(spec, float(cfg["beta"]), tau=cfg.get("tau"),
+                            rng=rng)
 
 
 # ---------------------------------------------------------------------------

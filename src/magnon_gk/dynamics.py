@@ -12,9 +12,12 @@ exchange a rank-one kick, and real space is formed only at output times.
 Currents are accumulated pathwise.  The integral of the total current over
 a segment is exact in closed form; per-bond integrals (``track="bonds"``)
 use adaptive Gauss-Legendre quadrature along the exact flow, the only place
-quadrature is used.  The jump part comes from the swapped kinetic energies,
-so the per-site continuity equation holds to quadrature accuracy on every
-trajectory.
+quadrature is used.  Both are deferred: the event loop records each
+segment's start amplitudes, start time and length, and integrates a bounded
+block of segments (``_BLOCK``) in one batched call, so the quadrature makes
+one real-space evaluation per depth of a block rather than one per panel.
+The jump part comes from the swapped kinetic energies, so the per-site
+continuity equation holds to quadrature accuracy on every trajectory.
 """
 
 from __future__ import annotations
@@ -43,10 +46,11 @@ class BackendError(SpecError):
 # deterministic flow backends
 #
 # Each backend hands out a per-trajectory ``modes(state)`` object that keeps
-# the state as eigen-amplitudes between events: ``advance(dt)`` is one
-# complex exp per mode, ``exchange(j, a, x)`` a rank-one kick, ``states``
-# goes to real space only where asked, and ``current_integral(T)`` is the
-# exact integral of the total current over the next T.
+# the state as eigen-amplitudes ``amp`` between events: ``advance(dt)`` is
+# one complex exp per mode and ``exchange(j, a, x)`` a rank-one kick.  The
+# backend itself works on stacks of amplitude snapshots: ``states`` goes to
+# real space only where asked, and ``current_integral`` is the exact
+# integral of the total current over each snapshot's next T.
 
 
 class _Exact:
@@ -100,6 +104,11 @@ class FourierBlock(_Exact):
         self._k = site_coords(spec)
         self._root = np.exp(2j * np.pi * np.arange(spec.n) / spec.n)
         self._step = self._root[self._k.T]
+        self._step1 = self._step - 1.0
+        V, Vinv = self._tab["V"], self._tab["Vinv"]
+        # per channel: the velocity rows of V and the velocity column of Vinv
+        self._xV = [(V[1, 0, c], V[1, 1, c]) for c in range(len(tabs))]
+        self._xVinv = [Vinv[:, 1, c] for c in range(len(tabs))]
         # total current J_a = Re sum_k w_a(k) F conj(W) per channel.  In
         # amplitudes F conj(W) is |c+|^2 V00 conj(V10) + |c-|^2 V01 conj(V11)
         # + c+ conj(c-) V00 conj(V11) + conj(c+ conj(c-)) V01 conj(V10), and
@@ -111,7 +120,6 @@ class FourierBlock(_Exact):
         else:
             w = -(1.0 + np.exp(-1j * phi)) / (2.0 * spec.n)
         w = w[:, None, None, :]
-        V = self._tab["V"]
         self._w_abs = (w * np.stack([V[0, 0] * V[1, 0].conj(),
                                      V[0, 1] * V[1, 1].conj()])
                        ).real.reshape(spec.d, -1)
@@ -133,8 +141,57 @@ class FourierBlock(_Exact):
     def modes(self, state: PhaseState) -> "_FourierModes":
         return _FourierModes(self, state)
 
+    def states(self, amp, t, taus):
+        """Fields (pos, vel), each (P, k, dstar, nsites), of P amplitude
+        snapshots amp (P, 2, chan, modes) taken at times t (P,), at the
+        times t + taus for taus (P, k)."""
+        tab = self._tab
+        tau = taus[..., None, None]
+        rot = np.exp(tab["iom"] * tau)
+        A0 = amp[:, None, 0] * rot
+        A1 = amp[:, None, 1] * rot.conj()
+        t = t[:, None, None, None] + tau
+        V = tab["V"][:, :, None, None]
+        FW = V[:, 0] * A0
+        FW += V[:, 1] * A1
+        FW *= np.exp(self._half_b[:, None] * t)
+        FW[0] += t * tab["shear"] * FW[1]
+        out = self._lattice_fft(FW, np.fft.ifft)
+        if self.spec.dstar >= 2:
+            out = np.concatenate([out[..., :1, :].real, out[..., :1, :].imag,
+                                  out[..., 1:, :].real], axis=-2)
+        else:
+            out = out.real
+        return out[0], out[1]
 
-class _FourierModes:
+    def current_integral(self, amp, T) -> np.ndarray:
+        """Exact integrals of the total current per direction, (P, d), over
+        the next T[p] from each snapshot amp[p] (the frame factor has
+        modulus one and drops out)."""
+        T = T[:, None, None]
+        E = np.where(self._still, T, np.expm1(self._iom2 * T) / self._iom2)
+        absq = (amp.real ** 2 + amp.imag ** 2).reshape(len(amp), -1, 1)
+        # a contiguous copy of c+ and one matrix-vector product per
+        # snapshot: numpy picks its multiply loop by layout, and a row must
+        # not depend on its batch mates
+        turn = (amp[:, 0].copy() * amp[:, 1].conj() * E).reshape(
+            len(amp), -1, 1)
+        return (T[:, 0] * (self._w_abs @ absq)[..., 0]
+                + (self._w_turn @ turn)[..., 0].real)
+
+
+class _Modes:
+    """One trajectory's amplitudes ``amp`` at elapsed time ``t``."""
+
+    def states(self, taus):
+        """Fields (pos, vel), each (k, dstar, nsites), at elapsed times
+        t + taus for the 1-d array ``taus``."""
+        pos, vel = self.block.states(self.amp[None], np.array([self.t]),
+                                     taus[None])
+        return pos[0], vel[0]
+
+
+class _FourierModes(_Modes):
     """One trajectory's eigen-amplitudes under a ``FourierBlock``.
 
     Physical channel modes at elapsed time t are
@@ -162,66 +219,34 @@ class _FourierModes:
         self.amp *= fac
         self.t += dt
 
-    def states(self, taus):
-        """Fields (pos, vel), each (k, dstar, nsites), at elapsed times
-        t + taus for the 1-d array ``taus``."""
-        blk = self.block
-        tab = blk._tab
-        tau = taus[:, None, None]
-        rot = np.exp(tab["iom"] * tau)
-        amp = np.empty((2,) + rot.shape, dtype=complex)
-        np.multiply(self.amp[0], rot, out=amp[0])
-        np.multiply(self.amp[1], rot.conj(), out=amp[1])
-        t = self.t + tau
-        FW = (tab["V"][:, :, None] * amp).sum(axis=1)
-        FW *= np.exp(blk._half_b[:, None] * t)
-        FW[0] += t * tab["shear"] * FW[1]
-        out = blk._lattice_fft(FW, np.fft.ifft)
-        if blk.spec.dstar >= 2:
-            out = np.concatenate([out[:, :, :1].real, out[:, :, :1].imag,
-                                  out[:, :, 1:].real], axis=2)
-        else:
-            out = out.real
-        return out[0], out[1]
-
     def exchange(self, j: int, a: int, x: int) -> float:
         """Swap v_x^j and v_{x+e_a}^j (x a flat site index); return the
         kinetic energy gained by site x, as ``apply_exchange`` does."""
         blk = self.block
-        V, Vinv = blk._tab["V"], blk._tab["Vinv"]
         c = max(j - 1, 0)               # components 0 and 1 share channel 0
         unit = 1j if j == 1 else 1.0    # component 1 is the imaginary part
         amp = self.amp[:, c]
+        V0, V1 = blk._xV[c]
         frame = cmath.exp(blk._half_b[c] * self.t)
         row = blk._root[(blk._k @ blk._k[x]) % blk.spec.n]
-        u = row * (V[1, 0, c] * amp[0] + V[1, 1, c] * amp[1])
+        u = row * (V0 * amp[0] + V1 * amp[1])
         scale = frame / (unit * row.size)
         vx = (u.sum() * scale).real
         vy = ((u @ blk._step[a]) * scale).real
         # v_x gains delta = vy - vx and v_{x+e_a} loses it, so W gains
         # -delta * unit * conj(row (step - 1)); amplitudes are W / frame
-        dW = row * (blk._step[a] - 1.0)
-        amp += Vinv[:, 1, c] * (dW.conj() * ((vx - vy) * unit / frame))
+        dW = row * blk._step1[a]
+        amp += blk._xVinv[c] * (dW.conj() * ((vx - vy) * unit / frame))
         return float(0.5 * (vy * vy - vx * vx))
 
     def current(self) -> np.ndarray:
-        """Total current per direction now: ``current_integral``'s
-        integrand at τ = 0."""
+        """Total current per direction now: the integrand of the block's
+        ``current_integral`` at τ = 0."""
         blk = self.block
         a0, a1 = self.amp
         absq = (self.amp.real ** 2 + self.amp.imag ** 2).ravel()
         return (blk._w_abs @ absq
                 + (blk._w_turn @ (a0 * a1.conj()).ravel()).real)
-
-    def current_integral(self, T: float) -> np.ndarray:
-        """Exact integral of the total current per direction over the next
-        T (the frame factor has modulus one and drops out)."""
-        blk = self.block
-        a0, a1 = self.amp
-        E = np.where(blk._still, T, np.expm1(blk._iom2 * T) / blk._iom2)
-        absq = (self.amp.real ** 2 + self.amp.imag ** 2).ravel()
-        return (T * (blk._w_abs @ absq)
-                + (blk._w_turn @ (a0 * a1.conj() * E).ravel()).real)
 
 
 class DenseEigen(_Exact):
@@ -242,6 +267,10 @@ class DenseEigen(_Exact):
                 "position coords); use the fourier backend")
         self.spec = spec
         self._fields = flat_slice(spec, "pos"), flat_slice(spec, "vel")
+        # exchanges: flat row of v_0^j, and the right neighbours of each site
+        self._vel_rows = [flat_slice(spec, "vel", j).start
+                          for j in range(spec.dstar)]
+        self._plus = neighbor_tables(spec)[0]
         M = drift_matrix(spec)  # enforces the dense size cap
         self.vals, self.vecs = np.linalg.eig(M)
         self.vinv = np.linalg.inv(self.vecs)
@@ -262,44 +291,51 @@ class DenseEigen(_Exact):
     def modes(self, state: PhaseState) -> "_DenseModes":
         return _DenseModes(self, state)
 
+    def states(self, amp, t, taus):
+        """Fields (pos, vel), each (P, k, dstar, nsites), of P amplitude
+        snapshots amp (P, M) at the elapsed times taus (P, k) after them
+        (the flow has no frame, so the snapshot times t do not enter)."""
+        Z = np.exp(taus[..., None] * self.vals)
+        Z *= amp[:, None]
+        Z = (Z @ self.vecs.T).real
+        shape = Z.shape[:-1] + (self.spec.dstar, self.spec.nsites)
+        pos, vel = self._fields
+        return Z[..., pos].reshape(shape), Z[..., vel].reshape(shape)
 
-class _DenseModes:
-    """One trajectory's eigen-amplitudes c = vinv z under ``DenseEigen``."""
+    def current_integral(self, amp, T) -> np.ndarray:
+        """c^T (G_a ∘ E(T)) c with E_ij = int_0^T e^{(λ_i+λ_j)τ} dτ, for
+        each snapshot c = amp[p] and T = T[p]: (P, d).  One snapshot at a
+        time, since E is M×M."""
+        s = self.vals[:, None] + self.vals
+        still = s == 0
+        out = np.empty((len(amp), self.spec.d))
+        for p, (c, T_p) in enumerate(zip(amp, T)):
+            E = np.where(still, T_p,
+                         np.expm1(s * T_p) / np.where(still, 1.0, s))
+            out[p] = np.tensordot(self._gcur, E * np.outer(c, c),
+                                  axes=2).real
+        return out
+
+
+class _DenseModes(_Modes):
+    """One trajectory's eigen-amplitudes amp = vinv z under ``DenseEigen``."""
 
     def __init__(self, block: DenseEigen, state: PhaseState):
         self.block = block
         self.t = 0.0
-        self.c = block.vinv @ state.flatten()
+        self.amp = block.vinv @ state.flatten()
 
     def advance(self, dt: float):
-        self.c *= np.exp(self.block.vals * dt)
+        self.amp *= np.exp(self.block.vals * dt)
         self.t += dt
-
-    def states(self, taus):
-        blk = self.block
-        Z = ((np.exp(np.outer(taus, blk.vals)) * self.c) @ blk.vecs.T).real
-        shape = (-1, blk.spec.dstar, blk.spec.nsites)
-        pos, vel = blk._fields
-        return Z[:, pos].reshape(shape), Z[:, vel].reshape(shape)
 
     def exchange(self, j: int, a: int, x: int) -> float:
         blk = self.block
-        spec = blk.spec
-        plus, _ = neighbor_tables(spec)
-        base = flat_slice(spec, "vel", j).start
-        rx, ry = base + x, base + int(plus[a][x])
-        vx, vy = (blk.vecs[[rx, ry]] @ self.c).real
-        self.c += (vy - vx) * (blk.vinv[:, rx] - blk.vinv[:, ry])
+        base = blk._vel_rows[j]
+        rx, ry = base + x, base + int(blk._plus[a][x])
+        vx, vy = (blk.vecs[[rx, ry]] @ self.amp).real
+        self.amp += (vy - vx) * (blk.vinv[:, rx] - blk.vinv[:, ry])
         return float(0.5 * (vy * vy - vx * vx))
-
-    def current_integral(self, T: float) -> np.ndarray:
-        """c^T (G_a ∘ E(T)) c with E_ij = int_0^T e^{(λ_i+λ_j)τ} dτ."""
-        vals = self.block.vals
-        s = vals[:, None] + vals
-        still = s == 0
-        E = np.where(still, T, np.expm1(s * T) / np.where(still, 1.0, s))
-        cc = E * np.outer(self.c, self.c)
-        return np.tensordot(self.block._gcur, cc, axes=2).real
 
 
 def make_backend(spec: LatticeSpec):
@@ -379,29 +415,64 @@ _GL_PANELS[1, 4:] = 0.5 * np.tile(_GL_W, 2)
 _MAX_DEPTH = 14
 
 
-def _adaptive_integral(f_batch, a: float, b: float, tol: float,
-                       depth: int = 0):
-    """Integral of a vector-valued f over [a, b], certified by comparing one
-    4-point panel against its two half-panels (all 12 nodes in one batched
-    evaluation).  Raises ``QuadratureError`` if a panel at depth 14 still
-    misses its share of the tolerance."""
-    vals = f_batch(a + (b - a) * _GL_NODES)
-    coarse, fine = ((b - a) * (_GL_PANELS @ vals.reshape(12, -1))).reshape(
-        (2,) + vals.shape[1:])
-    err = np.abs(fine - coarse).max()
-    if err <= tol:
-        return fine
-    if depth >= _MAX_DEPTH:
-        raise QuadratureError(
-            f"current quadrature unconverged on [{a:.6g}, {b:.6g}] at "
-            f"depth {depth} (error {err:.2e}, tolerance {tol:.2e})")
-    m = 0.5 * (a + b)
-    return (_adaptive_integral(f_batch, a, m, 0.5 * tol, depth + 1)
-            + _adaptive_integral(f_batch, m, b, 0.5 * tol, depth + 1))
+def _adaptive_integral(f_batch, starts, lengths, tol: float):
+    """Integrals of a vector-valued f over the segments
+    [starts[p], starts[p] + lengths[p]], all of them in one batch.
+
+    ``f_batch(rows, taus)`` evaluates f on the segments ``rows`` (P,) at
+    the offsets ``taus`` (P, 12) from their starts and returns (P, 12, ...).
+    Every panel is certified by comparing one 4-point panel against its two
+    half-panels (all 12 nodes in one evaluation); a panel that misses its
+    tolerance splits in two, each half with half the tolerance, and all
+    panels of one depth are evaluated together.  The halves of a split panel
+    are added as a recursion would add them, so a segment's integral does
+    not depend on its batch mates.  Raises ``QuadratureError`` if a panel at
+    depth 14 still misses its share of the tolerance.
+    """
+    b = np.asarray(lengths, dtype=float)
+    a = np.zeros_like(b)
+    rows = np.arange(len(b))
+    levels = []
+    for depth in range(_MAX_DEPTH + 1):
+        vals = f_batch(rows, a[:, None] + (b - a)[:, None] * _GL_NODES)
+        est = (b - a)[:, None, None] * (
+            _GL_PANELS @ vals.reshape(len(rows), 12, -1))
+        coarse, fine = est[:, 0], est[:, 1]
+        err = np.abs(fine - coarse).max(axis=1)
+        split = ~(err <= tol)
+        levels.append((fine, split))
+        if not split.any():
+            break
+        if depth == _MAX_DEPTH:
+            p = np.flatnonzero(split)[0]
+            t0 = starts[rows[p]]
+            raise QuadratureError(
+                f"current quadrature unconverged on [{t0 + a[p]:.6g}, "
+                f"{t0 + b[p]:.6g}] at depth {depth} (error {err[p]:.2e}, "
+                f"tolerance {tol:.2e})")
+        a, b, rows = a[split], b[split], rows[split]
+        m = 0.5 * (a + b)
+        # the two halves of each split panel, left then right
+        a, b = (np.stack([a, m], axis=1).ravel(),
+                np.stack([m, b], axis=1).ravel())
+        rows = np.repeat(rows, 2)
+        tol = 0.5 * tol
+    total = fine
+    for fine, split in reversed(levels[:-1]):
+        fine[split] = total[0::2] + total[1::2]
+        total = fine
+    return total.reshape((len(lengths),) + vals.shape[2:])
 
 
 # ---------------------------------------------------------------------------
 # trajectories
+
+# bound on the node arrays of one block of deferred segment integrals, in
+# elements: a block holds _BLOCK // (nodes * amplitudes) segments, with 12
+# nodes a segment for track="bonds" and 1 for "total" (42 segments of an
+# N=8 chain's bonds).  Larger blocks save little more call overhead and
+# raise the peak memory.
+_BLOCK = 1 << 13
 
 
 @dataclass
@@ -475,21 +546,49 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
     modes = backend.modes(s0)
     now = np.zeros(1)
     pos[0], vel[0] = s0.pos, s0.vel
-    det_run = np.zeros(d)
     jump_run = np.zeros(d)
+    # Segment integrals are deferred: a segment records its start
+    # amplitudes, start time and length, and each full block, then the rest,
+    # is integrated in one call.  Outputs wait for the block that ends them.
+    # A run has at most nev + n_out segments.
+    nodes = 12 if track == "bonds" else 1
+    cap = max(1, min(nev + n_out, _BLOCK // (nodes * modes.amp.size)))
+    snaps = np.empty((cap,) + modes.amp.shape, dtype=modes.amp.dtype)
+    starts, lengths = np.empty(cap), np.empty(cap)
+    det_run = np.zeros(d)
+    due = []      # (output, segments of the block before it)
+    held = 0      # segments in the block
+
+    def integrate_block():
+        nonlocal held
+        if track == "total":
+            rows = backend.current_integral(snaps[:held], lengths[:held])
+        else:
+            integrals = _adaptive_integral(
+                lambda r, taus: bond_currents(
+                    spec, *backend.states(snaps[r], starts[r], taus)),
+                starts[:held], lengths[:held], 1e-13)
+            rows = integrals.sum(axis=2)
+            for integral in integrals:
+                bond_det[:] += integral
+        # running sums in segment order, as one segment at a time would add
+        run = np.cumsum(np.concatenate([det_run[None], rows]), axis=0)
+        for o, k in due:
+            det_cum[o] = run[k]
+        det_run[:] = run[-1]
+        due.clear()
+        held = 0
 
     def advance(to_t: float):
+        nonlocal held
         seg = to_t - modes.t
         if seg <= 0:
             return
-        if track == "total":
-            det_run[:] += modes.current_integral(seg)
-        elif track == "bonds":
-            integral = _adaptive_integral(
-                lambda taus: bond_currents(spec, *modes.states(taus)),
-                0.0, seg, 1e-13)
-            det_run[:] += integral.sum(axis=1)
-            bond_det[:] += integral
+        if track != "none":
+            if held == cap:
+                integrate_block()
+            snaps[held], starts[held], lengths[held] = modes.amp, modes.t, seg
+            held += 1
         modes.advance(seg)
 
     i, o = 0, 1
@@ -500,7 +599,7 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
         while o < n_out and out_times[o] <= t_ev:
             advance(out_times[o])
             (pos[o],), (vel[o],) = modes.states(now)
-            det_cum[o] = det_run
+            due.append((o, held))
             jump_cum[o] = jump_run
             o += 1
         if i >= nev:
@@ -512,6 +611,8 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
         if bond_jump is not None:
             bond_jump[a, x] -= transported
         i += 1
+    if track != "none":
+        integrate_block()
 
     return Trajectory(spec, seed, index, t_end, dt_out, out_times, pos, vel,
                       det_cum, jump_cum, nev, bond_det, bond_jump)

@@ -92,9 +92,13 @@ def sample_microcanonical(spec: LatticeSpec, e: float,
     return PhaseState(spec, pos, vel)
 
 
-def sample_canonical(spec: LatticeSpec, beta: float, tau=(0.0, 0.0),
+def sample_canonical(spec: LatticeSpec, beta: float, tau=None,
                      rng: np.random.Generator | None = None) -> PhaseState:
-    """i.i.d. Gaussian draw from the (possibly tilted) canonical measure."""
+    """i.i.d. Gaussian draw from the (possibly tilted) canonical measure.
+
+    ``tau`` is the tilt, a sequence of dstar finite numbers by which the
+    deformations of each component are shifted down; zero by default.
+    """
     if spec.coords != "deformation":
         raise SpecError("canonical sampling requires deformation coords")
     if beta <= 0:
@@ -102,9 +106,21 @@ def sample_canonical(spec: LatticeSpec, beta: float, tau=(0.0, 0.0),
     if rng is None:
         raise SpecError("rng is required")
     ns, ds = spec.nsites, spec.dstar
+    if tau is None:
+        tau = [0.0] * ds
+    number = (int, float, np.integer, np.floating)
+    try:
+        ok = (not isinstance(tau, str) and len(tau) == ds
+              and all(isinstance(v, number) and not isinstance(v, bool)
+                      and np.isfinite(float(v)) for v in tau))
+    except (TypeError, OverflowError):   # no length, or an int past float
+        ok = False
+    if not ok:
+        raise SpecError(f"tau must be a sequence of {ds} finite numbers, "
+                        f"got {tau!r}")
     sd = 1.0 / np.sqrt(beta)
     pos = rng.normal(0.0, sd, size=(ds, ns))
-    for j in range(min(ds, len(tau))):
+    for j in range(ds):
         pos[j] -= tau[j]
     vel = rng.normal(0.0, sd, size=(ds, ns))
     return PhaseState(spec, pos, vel)

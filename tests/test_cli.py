@@ -174,6 +174,17 @@ def test_config_accepts_tau_with_beta(tmp_path, monkeypatch):
                        atol=1e-12)
 
 
+@pytest.mark.parametrize("tau", ["ab", [0.5]])
+def test_config_rejects_a_malformed_tau(tmp_path, monkeypatch, capsys, tau):
+    # a string or a tilt of the wrong length is a JSON error, exit 1
+    monkeypatch.chdir(tmp_path)
+    cfg = {"n": 8, "coords": "deformation", "out": "s.csv", "tau": tau}
+    (tmp_path / "bad.json").write_text(json.dumps(cfg))
+    assert run(["sample", "--config", "bad.json"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == "SpecError" and "tau" in err["message"]
+
+
 def test_thread_cap_is_set_before_numpy_loads():
     # record the pool variables at the moment numpy is first imported
     probe = """

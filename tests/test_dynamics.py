@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -286,10 +288,36 @@ def oracle_state(spec, key):
     return s0
 
 
+# 4-point Gauss-Legendre panel on [0, 1] and its two halves, for the
+# recursive reference quadrature below
+_X, _W = np.polynomial.legendre.leggauss(4)
+GL_NODES = np.concatenate([0.5 + 0.5 * _X, 0.25 + 0.25 * _X,
+                           0.75 + 0.25 * _X])
+GL_WHOLE, GL_HALVES = 0.5 * _W, 0.25 * np.concatenate([_W, _W])
+
+
+def recursive_integral(f_batch, a, b, tol, depth=0):
+    """Reference for ``dy._adaptive_integral``: the certified quadrature of
+    a vector-valued f over one interval [a, b] as a recursion, one 4-point
+    panel against its two halves, splitting with half the tolerance down
+    to depth 14."""
+    h = b - a
+    vals = f_batch(a + h * GL_NODES).reshape(12, -1)
+    coarse = h * (GL_WHOLE @ vals[:4])
+    fine = h * (GL_HALVES @ vals[4:])
+    if np.abs(fine - coarse).max() <= tol:
+        return fine
+    if depth >= 14:
+        raise dy.QuadratureError(f"unconverged at depth {depth}")
+    m = 0.5 * (a + b)
+    return (recursive_integral(f_batch, a, m, 0.5 * tol, depth + 1)
+            + recursive_integral(f_batch, m, b, 0.5 * tol, depth + 1))
+
+
 def stepwise_oracle(s0, t_end, dt_out, seed, backend, track):
     """The event loop re-projected from real space on every segment:
     ``propagate`` to each output time and event, ``apply_exchange`` at the
-    event, and the adaptive quadrature of ``bond_currents`` along
+    event, and the recursive quadrature of ``bond_currents`` along
     ``propagate_batch`` from the segment's start state.  Outputs due at
     an event time are taken before the event, and the run stops at the
     last output time.  Returns (output states, cumulative det_current,
@@ -312,10 +340,10 @@ def stepwise_oracle(s0, t_end, dt_out, seed, backend, track):
         if seg <= 0:
             return state
         if track != "none":
-            integral = dy._adaptive_integral(
+            integral = recursive_integral(
                 lambda taus: bond_currents(
                     spec, *backend.propagate_batch(state, taus)),
-                0.0, seg, 1e-13)
+                0.0, seg, 1e-13).reshape(spec.d, spec.nsites)
             det[:] += integral.sum(axis=1)
             bond_det[:] += integral
         return backend.propagate(state, seg)
@@ -380,6 +408,28 @@ def test_simulate_writes_an_output_rounded_past_t_end():
     assert np.abs(traj.det_current - dets).max() < 1e-10
 
 
+@pytest.mark.parametrize("spec", [UNIFORM, ALT, D2])
+def test_simulate_does_not_depend_on_the_block_size(spec, monkeypatch):
+    # about 120 events in four output intervals: several blocks at the
+    # default budget, one segment per block at a budget of 1, and a single
+    # block at an unbounded one
+    rate = spec.gamma * spec.dstar * spec.d * spec.nsites
+    t_end = 120.0 / rate
+    s0 = oracle_state(spec, 45)
+    for track in ("none", "total", "bonds"):
+        runs = []
+        for budget in (dy._BLOCK, 1, 1 << 40):
+            monkeypatch.setattr(dy, "_BLOCK", budget)
+            runs.append(dy.simulate(s0, t_end, t_end / 4, seed=45,
+                                    track=track))
+        for traj in runs[1:]:
+            for name in ("pos", "vel", "det_current", "jump_current",
+                         "bond_det", "bond_jump"):
+                a, b = getattr(runs[0], name), getattr(traj, name)
+                assert (a is None and b is None) or np.array_equal(a, b)
+            assert traj.event_count == runs[0].event_count
+
+
 @pytest.mark.parametrize("spec,kind", ORACLE_CASES)
 def test_current_integral_matches_quadrature(spec, kind):
     s = oracle_state(spec, 43)
@@ -387,29 +437,69 @@ def test_current_integral_matches_quadrature(spec, kind):
     modes = backend.modes(s)
     modes.advance(0.37)
     mid = backend.propagate(s, 0.37)
-    for T in (0.03, 0.4, 2.5):
-        ref = dy._adaptive_integral(
+    lengths = np.array([0.03, 0.4, 2.5])
+    # one batch: the same snapshot over three lengths
+    got = backend.current_integral(np.stack([modes.amp] * 3), lengths)
+    assert got.shape == (3, spec.d)
+    for T, row in zip(lengths, got):
+        ref = recursive_integral(
             lambda taus: bond_currents(
                 spec, *backend.propagate_batch(mid, taus)).sum(axis=-1),
             0.0, T, 1e-14)
-        got = modes.current_integral(T)
-        assert got.shape == (spec.d,)
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("spec,kind", [(UNIFORM, "fourier"), (ALT, "dense"),
+                                       (D2, "fourier")])
+def test_batched_quadrature_matches_recursion(spec, kind):
+    # bond currents from one snapshot per segment, over mixed lengths
+    backend = BACKENDS[kind](spec)
+    modes = backend.modes(oracle_state(spec, 44))
+    lengths = np.array([1e-3, 0.05, 0.3, 1.0, 2.5, 0.7])
+    snaps, starts, refs = [], [], []
+    for T in lengths:
+        snaps.append(modes.amp.copy())
+        starts.append(modes.t)
+        mid = PhaseState(spec, *(f[0] for f in modes.states(np.zeros(1))))
+        refs.append(recursive_integral(
+            lambda taus: bond_currents(
+                spec, *backend.propagate_batch(mid, taus)),
+            0.0, T, 1e-13).reshape(spec.d, spec.nsites))
+        modes.advance(0.2)
+    snaps, starts = np.array(snaps), np.array(starts)
+    got = dy._adaptive_integral(
+        lambda r, taus: bond_currents(
+            spec, *backend.states(snaps[r], starts[r], taus)),
+        starts, lengths, 1e-13)
+    assert got.shape == (len(lengths), spec.d, spec.nsites)
+    for row, ref in zip(got, refs):
+        assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_quadrature_depth_cap_is_loud():
-    def step(taus):
-        return (taus > 0.3).astype(float)[:, None]
-    with pytest.raises(dy.QuadratureError, match="depth 14"):
-        dy._adaptive_integral(step, 0.0, 1.0, 1e-13)
+    # a step at t = 1.3 in the middle segment of three; its smooth batch
+    # mates converge at once and must not hide it
+    starts, lengths = np.array([0.0, 1.0, 2.0]), np.ones(3)
+
+    def f(rows, taus):
+        t = starts[rows][:, None] + taus
+        vals = np.cos(t)
+        vals[rows == 1] = t[rows == 1] > 1.3
+        return vals[..., None]
+    with pytest.raises(dy.QuadratureError, match="depth 14") as err:
+        dy._adaptive_integral(f, starts, lengths, 1e-13)
+    # the message names the failing panel in absolute time
+    lo, hi = map(float, re.search(r"on \[(\S+), (\S+)\]",
+                                  str(err.value)).groups())
+    assert lo <= 1.3 <= hi and hi - lo < 1e-4
     # one error class for the closed forms and the current quadrature
     assert sp.QuadratureError is dy.QuadratureError
     assert issubclass(dy.QuadratureError, dy.SpecError)
     with pytest.raises(dy.QuadratureError, match="laplace_micro"):
         sp.laplace_micro(0.5, 1, 2, 1.0, 1.0, 1.0, n=8, tol=1e-15)
-    smooth = dy._adaptive_integral(lambda t: np.cos(t)[:, None], 0.0, 2.0,
-                                   1e-13)
-    assert abs(smooth[0] - np.sin(2.0)) < 1e-13
+    smooth = dy._adaptive_integral(lambda r, t: np.cos(t)[..., None],
+                                   np.zeros(2), np.array([2.0, 1.0]), 1e-13)
+    assert np.abs(smooth[:, 0] - np.sin([2.0, 1.0])).max() < 1e-13
 
 
 @pytest.mark.parametrize("spec", [spec for spec, kind in ORACLE_CASES

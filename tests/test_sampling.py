@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from magnon_gk.lattice import LatticeSpec, total_energy
+from magnon_gk.lattice import LatticeSpec, SpecError, total_energy
 from magnon_gk import sampling as sa
 from magnon_gk.rng import stream
 
@@ -131,6 +131,24 @@ def test_canonical_marginals_and_tau_shift():
     s = sa.sample_canonical(spec, 100.0, tau=(1.5, -0.5), rng=rng)
     assert s.pos[0].mean() == pytest.approx(-1.5, abs=0.1)
     assert s.pos[1].mean() == pytest.approx(0.5, abs=0.1)
+
+
+@pytest.mark.parametrize("tau", ["ab", [0.5], [0.5, 0.0, 0.0], 0.5,
+                                 [float("nan"), 0.0], [True, 0.0],
+                                 [10 ** 400, 0.0]])
+def test_canonical_rejects_a_malformed_tilt(tau):
+    spec = LatticeSpec(d=1, dstar=2, n=8, b=1.0, gamma=1.0,
+                       coords="deformation")
+    with pytest.raises(SpecError, match="tau"):
+        sa.sample_canonical(spec, 1.0, tau=tau, rng=stream(0, "init"))
+
+
+def test_canonical_default_tilt_is_zero():
+    spec = LatticeSpec(d=1, dstar=2, n=8, b=1.0, gamma=1.0,
+                       coords="deformation")
+    plain = sa.sample_canonical(spec, 1.0, rng=stream(0, "init"))
+    zero = sa.sample_canonical(spec, 1.0, tau=[0, 0], rng=stream(0, "init"))
+    assert np.array_equal(plain.pos, zero.pos)
 
 
 def test_canonical_mean_current_vanishes():
