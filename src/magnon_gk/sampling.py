@@ -106,13 +106,12 @@ def sample_canonical(spec: LatticeSpec, beta: float, tau=None,
     if rng is None:
         raise SpecError("rng is required")
     ns, ds = spec.nsites, spec.dstar
-    if tau is None:
-        tau = [0.0] * ds
-    number = (int, float, np.integer, np.floating)
+    tau = [0.0] * ds if tau is None else tau
     try:
-        ok = (not isinstance(tau, str) and len(tau) == ds
-              and all(isinstance(v, number) and not isinstance(v, bool)
-                      and np.isfinite(float(v)) for v in tau))
+        ok = (not isinstance(tau, str) and len(tau) == ds and all(
+            isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and np.isfinite(float(v))
+            for v in tau))
     except (TypeError, OverflowError):   # no length, or an int past float
         ok = False
     if not ok:
