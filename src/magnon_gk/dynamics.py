@@ -550,9 +550,10 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
     # Segment integrals are deferred: a segment records its start
     # amplitudes, start time and length, and each full block, then the rest,
     # is integrated in one call.  Outputs wait for the block that ends them.
-    # A run has at most nev + n_out segments.
+    # A run has at most nev + n_out segments; track="none" records none.
     nodes = 12 if track == "bonds" else 1
     cap = max(1, min(nev + n_out, _BLOCK // (nodes * modes.amp.size)))
+    cap = 0 if track == "none" else cap
     snaps = np.empty((cap,) + modes.amp.shape, dtype=modes.amp.dtype)
     starts, lengths = np.empty(cap), np.empty(cap)
     det_run = np.zeros(d)

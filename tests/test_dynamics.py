@@ -410,15 +410,16 @@ def test_simulate_writes_an_output_rounded_past_t_end():
 
 @pytest.mark.parametrize("spec", [UNIFORM, ALT, D2])
 def test_simulate_does_not_depend_on_the_block_size(spec, monkeypatch):
-    # about 120 events in four output intervals: several blocks at the
-    # default budget, one segment per block at a budget of 1, and a single
-    # block at an unbounded one
+    # about 120 events in four output intervals, in blocks of the default
+    # size, of one segment, of seven and in a single block
     rate = spec.gamma * spec.dstar * spec.d * spec.nsites
     t_end = 120.0 / rate
     s0 = oracle_state(spec, 45)
+    amps = dy.make_backend(spec).modes(s0).amp.size
     for track in ("none", "total", "bonds"):
+        seven = 7 * (12 if track == "bonds" else 1) * amps
         runs = []
-        for budget in (dy._BLOCK, 1, 1 << 40):
+        for budget in (dy._BLOCK, 1, seven, 1 << 40):
             monkeypatch.setattr(dy, "_BLOCK", budget)
             runs.append(dy.simulate(s0, t_end, t_end / 4, seed=45,
                                     track=track))
@@ -447,6 +448,20 @@ def test_current_integral_matches_quadrature(spec, kind):
                 spec, *backend.propagate_batch(mid, taus)).sum(axis=-1),
             0.0, T, 1e-14)
         assert np.abs(row - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("spec", [UNIFORM, D2])
+def test_current_integral_rows_do_not_depend_on_the_batch(spec):
+    # numpy picks its loops by array layout and size: a stack of thousands
+    # of snapshots must give each row the bits of that snapshot alone
+    backend = dy.FourierBlock(spec)
+    rng = np.random.default_rng(3)
+    amp = backend.modes(oracle_state(spec, 46)).amp
+    amps = amp * (1.0 + 0.1 * rng.normal(size=(5000,) + amp.shape))
+    lengths = rng.uniform(0.0, 0.3, size=5000)
+    rows = [backend.current_integral(amps[p:p + 1], lengths[p:p + 1])[0]
+            for p in range(5000)]
+    assert np.array_equal(backend.current_integral(amps, lengths), rows)
 
 
 @pytest.mark.parametrize("spec,kind", [(UNIFORM, "fourier"), (ALT, "dense"),
