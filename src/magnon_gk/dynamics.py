@@ -469,9 +469,9 @@ def _adaptive_integral(f_batch, starts, lengths, tol: float):
 
 # bound on the node arrays of one block of deferred segment integrals, in
 # elements: a block holds _BLOCK // (nodes * amplitudes) segments, with 12
-# nodes a segment for track="bonds" and 1 for "total" (42 segments of an
-# N=8 chain's bonds).  Larger blocks save little more call overhead and
-# raise the peak memory.
+# nodes a segment for track="bonds" and 1 for "total" (42 segments of the
+# uniform N=8 chain's bonds).  Larger blocks save little more call overhead
+# and raise the peak memory.
 _BLOCK = 1 << 13
 
 
