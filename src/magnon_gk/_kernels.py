@@ -12,11 +12,11 @@ complex exp per mode.  ``eigen_tables`` builds that basis, and
 ``FourierBlock`` in ``dynamics`` runs every channel on it.
 
 ``run_loop`` drives a chain (d=1, dstar=2) through its exchange events on
-``FourierBlock``'s amplitudes: their ``advance`` moves it between events
-and their ``current`` gives the total energy current on a fixed output
-grid.  The loop keeps only the exchange itself, an O(N) rank-one update of
-the f1 + i f2 velocity modes through the cached bond-difference table
-``dphase``, so no FFT runs inside the loop.
+an amplitude array of ``FourierBlock``: the block's ``advance`` moves it
+between events and its ``current`` gives the total energy current on a
+fixed output grid.  The loop keeps the clock and only the exchange itself,
+an O(N) rank-one update of the f1 + i f2 velocity modes through the cached
+bond-difference table ``dphase``, so no FFT runs inside the loop.
 """
 
 from __future__ import annotations
@@ -89,36 +89,42 @@ def mode_tables(spec):
     return {"dphase": dphase}
 
 
-def run_loop(dphase, modes, kap, half_b, ev_times, triples, series, dt_out,
+def run_loop(dphase, block, amps, t, ev_times, triples, series, dt_out,
              n_out):
-    """Run a chain's ``FourierBlock`` amplitudes ``modes`` through the
-    exchange events (times ``ev_times``, flat (j, x) codes ``triples``),
-    writing the total current at o * dt_out, o < n_out, into ``series``.
+    """Run a chain's ``FourierBlock`` amplitudes ``amps`` at time t, in
+    place, through the exchange events (times ``ev_times``, flat (j, x)
+    codes ``triples``), writing the total current at o * dt_out, o < n_out,
+    into ``series``; return the clock at the end.
 
-    ``kap`` is the amplitude kick per unit kick of the f1 + i f2 velocity
-    modes and ``half_b`` the frame rate -ib/2 of that channel.  Outputs due
-    at an event time are taken before the event.  The order of the
-    arguments keeps the table first, the event times fifth and n_out ninth,
-    where the benchmark's tracer reads them.
+    Outputs due at an event time are taken before the event.  The order of
+    the arguments keeps the table first, the event times fifth and n_out
+    ninth, where the benchmark's tracer reads them.
     """
-    advance, current = modes.advance, modes.current
-    amp = modes.amp[:, 0]               # the f1 + i f2 channel, a view
+    advance, current = block.advance, block.current
+    # the f1 + i f2 channel: a view of its amplitudes, their kick per unit
+    # kick of the velocity modes, and its frame rate -ib/2
+    amp = amps[:, 0]
+    kap, half_b = block.vel_kick[0], block.frame_rate[0]
     n = len(dphase)
     kick = np.empty_like(amp)
     o = 0
     for t_ev, trip in zip(ev_times.tolist(), triples.tolist()):
         while o * dt_out <= t_ev:
-            advance(o * dt_out - modes.t)
-            series[o] = current()[0]
+            dt = o * dt_out - t
+            advance(amps, dt)
+            t += dt
+            series[o] = current(amps)[0]
             o += 1
-        advance(t_ev - modes.t)
+        dt = t_ev - t
+        advance(amps, dt)
+        t += dt
         # Exchange of velocity component j across the bond (x, x+1).  With
         # v0 + i v1 = ifft(W), c = (v0 + i v1)(x+1) - (v0 + i v1)(x); the
         # swap moves delta = Re c (or i Im c) from site x+1 to site x, so W
         # gains -delta * conj(dphase[x]) = delta * dphase[N-1-x].  W is
         # amp[0] + amp[1] except at k=0, where dphase vanishes.
         j, x = divmod(trip, n)
-        rot = cmath.exp(half_b * modes.t)   # physical W = rot * stored W
+        rot = cmath.exp(half_b * t)     # physical W = rot * stored W
         w0, w1 = (amp @ dphase[x]).tolist()
         c = rot * (w0 + w1) / n
         coef = (c.real if j == 0 else 1j * c.imag) / rot
@@ -126,6 +132,9 @@ def run_loop(dphase, modes, kap, half_b, ev_times, triples, series, dt_out,
         kick *= coef
         amp += kick
     while o < n_out:
-        advance(o * dt_out - modes.t)
-        series[o] = current()[0]
+        dt = o * dt_out - t
+        advance(amps, dt)
+        t += dt
+        series[o] = current(amps)[0]
         o += 1
+    return t

@@ -145,7 +145,7 @@ def cmd_correlate(cfg: dict) -> int:
                                 estimator=cfg["estimator"])
     out = cfg["out"]
     _write_series_csv(out, corr.times, corr.values, corr.stderr)
-    kw = {"gamma": spec.gamma, "dstar": spec.dstar}
+    kw = {"gamma": spec.gamma}
     if scfg.get("ensemble", "canonical") == "micro":
         kw["e"] = float(scfg.get("e", 1.0))
     else:
@@ -216,11 +216,13 @@ def cmd_sample(cfg: dict) -> int:
     seed = int(cfg["seed"])
     n_samples = int(cfg["samples"])
     out = cfg["out"]
+    s = _initial_state(spec, cfg, seed, 0)  # a bad config fails before out
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["sample", "field", "component", "site", "value"])
         for idx in range(n_samples):
-            s = _initial_state(spec, cfg, seed, idx)
+            if idx:
+                s = _initial_state(spec, cfg, seed, idx)
             for name, arr in (("pos", s.pos), ("vel", s.vel)):
                 for j in range(spec.dstar):
                     for i in range(spec.nsites):

@@ -6,9 +6,10 @@ invariant charges), on the eigen-amplitude tables of ``_kernels`` that the
 chain loop also uses, or through one dense eigendecomposition of the drift.
 Exchange events arrive as a Poisson process of total rate
 gamma * dstar * d * N^d; each event swaps one velocity component across one
-bond.  ``simulate`` carries each trajectory as the backend's eigen-amplitudes
-from start to end: a segment between events is one complex exp per mode, an
-exchange a rank-one kick, and real space is formed only at output times.
+bond.  ``simulate`` carries each trajectory as an array of the backend's
+eigen-amplitudes and a clock from start to end: the backend advances the
+array over a segment between events by one complex exp per mode, applies an
+exchange as a rank-one kick, and forms real space only at output times.
 Currents are accumulated pathwise.  The integral of the total current over
 a segment is exact in closed form; per-bond integrals (``track="bonds"``)
 use adaptive Gauss-Legendre quadrature along the exact flow, the only place
@@ -45,29 +46,33 @@ class BackendError(SpecError):
 # ---------------------------------------------------------------------------
 # deterministic flow backends
 #
-# Each backend hands out a per-trajectory ``modes(state)`` object that keeps
-# the state as eigen-amplitudes ``amp`` between events: ``advance(dt)`` is
-# one complex exp per mode and ``exchange(j, a, x)`` a rank-one kick.  The
-# backend itself works on stacks of amplitude snapshots: ``states`` goes to
+# A backend keeps a trajectory's state as eigen-amplitudes, an array that
+# the caller holds together with its clock t: ``amplitudes(state)`` forms
+# them, ``advance(amp, dt)`` moves them on by dt in place (one complex exp
+# per mode) and ``exchange(amp, t, j, a, x)`` applies a rank-one kick.  The
+# other methods work on stacks of amplitude snapshots: ``states`` goes to
 # real space only where asked, and ``current_integral`` is the exact
 # integral of the total current over each snapshot's next T.
 
 
 class _Exact:
-    """``propagate`` and ``propagate_batch`` from a fresh ``modes``."""
+    """``propagate`` and ``propagate_batch``: one ``states`` call each."""
 
     def propagate(self, state: PhaseState, dt: float) -> PhaseState:
         if dt < 0:
             raise SpecError("dt must be >= 0")
         if dt == 0.0:
             return state.copy()
-        pos, vel = self.modes(state).states(np.array([dt], dtype=float))
-        return PhaseState(self.spec, pos[0], vel[0], state.time + dt)
+        pos, vel = self.states(self.amplitudes(state)[None], np.zeros(1),
+                               np.array([[dt]], dtype=float))
+        return PhaseState(self.spec, pos[0, 0], vel[0, 0], state.time + dt)
 
     def propagate_batch(self, state: PhaseState, dts):
         """States at several horizons from one anchor: (pos, vel) arrays
         of shape (k, dstar, nsites)."""
-        return self.modes(state).states(np.asarray(dts, dtype=float))
+        pos, vel = self.states(self.amplitudes(state)[None], np.zeros(1),
+                               np.asarray(dts, dtype=float)[None])
+        return pos[0], vel[0]
 
 
 class FourierBlock(_Exact):
@@ -93,10 +98,13 @@ class FourierBlock(_Exact):
         b = spec.b   # b = 0 if dstar = 1
         tabs = [kn.eigen_tables(g, om2, b) if b else free]
         tabs += [free] * (spec.dstar - 2)
-        # per channel: (..., channel, mode) tables and the frame rate -ib/2
+        # per channel: (..., channel, mode) tables and the frame rate: the
+        # physical modes are e^{frame_rate t} times the stored ones
         self._tab = {k: np.stack([t[k] for t in tabs], axis=-2)
                      for k in free}
-        self._half_b = np.array([-0.5j * b] + [0.0] * (len(tabs) - 1))
+        self.frame_rate = np.array([-0.5j * b] + [0.0] * (len(tabs) - 1))
+        # ``advance``'s scratch for e^{±iΩdt} per mode
+        self._fac = np.empty((2,) + self._tab["iom"].shape, dtype=complex)
         self._grid = (spec.n,) * spec.d
         # exchanges: the integer wavevectors k (row-major; the same array
         # holds the site coordinates) and e^{2πik_a/N} per direction, so that
@@ -106,9 +114,10 @@ class FourierBlock(_Exact):
         self._step = self._root[self._k.T]
         self._step1 = self._step - 1.0
         V, Vinv = self._tab["V"], self._tab["Vinv"]
-        # per channel: the velocity rows of V and the velocity column of Vinv
+        # per channel: the velocity rows of V, and the velocity column of
+        # Vinv, the amplitude kick of a unit kick to the velocity modes
         self._xV = [(V[1, 0, c], V[1, 1, c]) for c in range(len(tabs))]
-        self._xVinv = [Vinv[:, 1, c] for c in range(len(tabs))]
+        self.vel_kick = [Vinv[:, 1, c] for c in range(len(tabs))]
         # total current J_a = Re sum_k w_a(k) F conj(W) per channel.  In
         # amplitudes F conj(W) is |c+|^2 V00 conj(V10) + |c-|^2 V01 conj(V11)
         # + c+ conj(c-) V00 conj(V11) + conj(c+ conj(c-)) V01 conj(V10), and
@@ -138,8 +147,55 @@ class FourierBlock(_Exact):
             y = fft(y, axis=ax)
         return y.reshape(x.shape)
 
-    def modes(self, state: PhaseState) -> "_FourierModes":
-        return _FourierModes(self, state)
+    def amplitudes(self, state: PhaseState) -> np.ndarray:
+        """Eigen-amplitudes (2, chan, modes) of a state, at time 0.
+
+        Physical channel modes at time t are (F, W) = e^{frame_rate t} V amp,
+        plus the Jordan shear F += t g W on a double-root mode (k = 0, which
+        no exchange touches).
+        """
+        fields = np.stack([state.pos, state.vel])
+        if self.spec.dstar >= 2:
+            fields = np.concatenate(
+                [fields[:, :1] + 1j * fields[:, 1:2], fields[:, 2:]], axis=1)
+        FW = self._lattice_fft(fields, np.fft.fft)
+        return (self._tab["Vinv"] * FW).sum(axis=1)
+
+    def advance(self, amp, dt: float):
+        """Move the amplitudes amp on by dt, in place."""
+        fac = self._fac
+        np.multiply(self._tab["iom"], dt, out=fac[0])
+        np.exp(fac[0], out=fac[0])
+        np.conjugate(fac[0], out=fac[1])
+        amp *= fac
+
+    def exchange(self, amp, t: float, j: int, a: int, x: int) -> float:
+        """Swap v_x^j and v_{x+e_a}^j (x a flat site index) in the
+        amplitudes amp at time t, in place; return the kinetic energy gained
+        by site x, as ``apply_exchange`` does."""
+        c = max(j - 1, 0)               # components 0 and 1 share channel 0
+        unit = 1j if j == 1 else 1.0    # component 1 is the imaginary part
+        amp = amp[:, c]
+        V0, V1 = self._xV[c]
+        frame = cmath.exp(self.frame_rate[c] * t)
+        row = self._root[(self._k @ self._k[x]) % self.spec.n]
+        u = row * (V0 * amp[0] + V1 * amp[1])
+        scale = frame / (unit * row.size)
+        vx = (u.sum() * scale).real
+        vy = ((u @ self._step[a]) * scale).real
+        # v_x gains delta = vy - vx and v_{x+e_a} loses it, so W gains
+        # -delta * unit * conj(row (step - 1)); amplitudes are W / frame
+        dW = row * self._step1[a]
+        amp += self.vel_kick[c] * (dW.conj() * ((vx - vy) * unit / frame))
+        return float(0.5 * (vy * vy - vx * vx))
+
+    def current(self, amp) -> np.ndarray:
+        """Total current per direction of the amplitudes amp: the integrand
+        of ``current_integral`` at τ = 0."""
+        a0, a1 = amp
+        absq = (amp.real ** 2 + amp.imag ** 2).ravel()
+        return (self._w_abs @ absq
+                + (self._w_turn @ (a0 * a1.conj()).ravel()).real)
 
     def states(self, amp, t, taus):
         """Fields (pos, vel), each (P, k, dstar, nsites), of P amplitude
@@ -154,7 +210,7 @@ class FourierBlock(_Exact):
         V = tab["V"][:, :, None, None]
         FW = V[:, 0] * A0
         FW += V[:, 1] * A1
-        FW *= np.exp(self._half_b[:, None] * t)
+        FW *= np.exp(self.frame_rate[:, None] * t)
         FW[0] += t * tab["shear"] * FW[1]
         out = self._lattice_fft(FW, np.fft.ifft)
         if self.spec.dstar >= 2:
@@ -178,75 +234,6 @@ class FourierBlock(_Exact):
             len(amp), -1, 1)
         return (T[:, 0] * (self._w_abs @ absq)[..., 0]
                 + (self._w_turn @ turn)[..., 0].real)
-
-
-class _Modes:
-    """One trajectory's amplitudes ``amp`` at elapsed time ``t``."""
-
-    def states(self, taus):
-        """Fields (pos, vel), each (k, dstar, nsites), at elapsed times
-        t + taus for the 1-d array ``taus``."""
-        pos, vel = self.block.states(self.amp[None], np.array([self.t]),
-                                     taus[None])
-        return pos[0], vel[0]
-
-
-class _FourierModes(_Modes):
-    """One trajectory's eigen-amplitudes under a ``FourierBlock``.
-
-    Physical channel modes at elapsed time t are
-    (F, W) = e^{-ibt/2} V amp, plus the Jordan shear F += t g W on a
-    double-root mode (k = 0, which no exchange touches).
-    """
-
-    def __init__(self, block: FourierBlock, state: PhaseState):
-        self.block = block
-        self.t = 0.0
-        fields = np.stack([state.pos, state.vel])
-        if block.spec.dstar >= 2:
-            fields = np.concatenate(
-                [fields[:, :1] + 1j * fields[:, 1:2], fields[:, 2:]], axis=1)
-        FW = block._lattice_fft(fields, np.fft.fft)
-        self.amp = (block._tab["Vinv"] * FW).sum(axis=1)  # (2, chan, modes)
-        self._fac = np.empty_like(self.amp)
-
-    def advance(self, dt: float):
-        """Move the amplitudes on by dt, in place."""
-        fac = self._fac
-        np.multiply(self.block._tab["iom"], dt, out=fac[0])
-        np.exp(fac[0], out=fac[0])
-        np.conjugate(fac[0], out=fac[1])
-        self.amp *= fac
-        self.t += dt
-
-    def exchange(self, j: int, a: int, x: int) -> float:
-        """Swap v_x^j and v_{x+e_a}^j (x a flat site index); return the
-        kinetic energy gained by site x, as ``apply_exchange`` does."""
-        blk = self.block
-        c = max(j - 1, 0)               # components 0 and 1 share channel 0
-        unit = 1j if j == 1 else 1.0    # component 1 is the imaginary part
-        amp = self.amp[:, c]
-        V0, V1 = blk._xV[c]
-        frame = cmath.exp(blk._half_b[c] * self.t)
-        row = blk._root[(blk._k @ blk._k[x]) % blk.spec.n]
-        u = row * (V0 * amp[0] + V1 * amp[1])
-        scale = frame / (unit * row.size)
-        vx = (u.sum() * scale).real
-        vy = ((u @ blk._step[a]) * scale).real
-        # v_x gains delta = vy - vx and v_{x+e_a} loses it, so W gains
-        # -delta * unit * conj(row (step - 1)); amplitudes are W / frame
-        dW = row * blk._step1[a]
-        amp += blk._xVinv[c] * (dW.conj() * ((vx - vy) * unit / frame))
-        return float(0.5 * (vy * vy - vx * vx))
-
-    def current(self) -> np.ndarray:
-        """Total current per direction now: the integrand of the block's
-        ``current_integral`` at τ = 0."""
-        blk = self.block
-        a0, a1 = self.amp
-        absq = (self.amp.real ** 2 + self.amp.imag ** 2).ravel()
-        return (blk._w_abs @ absq
-                + (blk._w_turn @ (a0 * a1.conj()).ravel()).real)
 
 
 class DenseEigen(_Exact):
@@ -288,8 +275,19 @@ class DenseEigen(_Exact):
             self.vecs.T @ total_current_observable(self.spec, a).kernel
             @ self.vecs for a in range(self.spec.d)])
 
-    def modes(self, state: PhaseState) -> "_DenseModes":
-        return _DenseModes(self, state)
+    def amplitudes(self, state: PhaseState) -> np.ndarray:
+        """Eigen-amplitudes vinv z (M,) of a state."""
+        return self.vinv @ state.flatten()
+
+    def advance(self, amp, dt: float):
+        amp *= np.exp(self.vals * dt)
+
+    def exchange(self, amp, t: float, j: int, a: int, x: int) -> float:
+        base = self._vel_rows[j]
+        rx, ry = base + x, base + int(self._plus[a][x])
+        vx, vy = (self.vecs[[rx, ry]] @ amp).real
+        amp += (vy - vx) * (self.vinv[:, rx] - self.vinv[:, ry])
+        return float(0.5 * (vy * vy - vx * vx))
 
     def states(self, amp, t, taus):
         """Fields (pos, vel), each (P, k, dstar, nsites), of P amplitude
@@ -315,27 +313,6 @@ class DenseEigen(_Exact):
             out[p] = np.tensordot(self._gcur, E * np.outer(c, c),
                                   axes=2).real
         return out
-
-
-class _DenseModes(_Modes):
-    """One trajectory's eigen-amplitudes amp = vinv z under ``DenseEigen``."""
-
-    def __init__(self, block: DenseEigen, state: PhaseState):
-        self.block = block
-        self.t = 0.0
-        self.amp = block.vinv @ state.flatten()
-
-    def advance(self, dt: float):
-        self.amp *= np.exp(self.block.vals * dt)
-        self.t += dt
-
-    def exchange(self, j: int, a: int, x: int) -> float:
-        blk = self.block
-        base = blk._vel_rows[j]
-        rx, ry = base + x, base + int(blk._plus[a][x])
-        vx, vy = (blk.vecs[[rx, ry]] @ self.amp).real
-        self.amp += (vy - vx) * (blk.vinv[:, rx] - blk.vinv[:, ry])
-        return float(0.5 * (vy * vy - vx * vx))
 
 
 def make_backend(spec: LatticeSpec):
@@ -543,8 +520,8 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
     bond_det = np.zeros((d, ns)) if track == "bonds" else None
     bond_jump = np.zeros((d, ns)) if track == "bonds" else None
 
-    modes = backend.modes(s0)
-    now = np.zeros(1)
+    amp, t = backend.amplitudes(s0), 0.0
+    now = np.zeros((1, 1))
     pos[0], vel[0] = s0.pos, s0.vel
     jump_run = np.zeros(d)
     # Segment integrals are deferred: a segment records its start
@@ -552,9 +529,9 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
     # is integrated in one call.  Outputs wait for the block that ends them.
     # A run has at most nev + n_out segments; track="none" records none.
     nodes = 12 if track == "bonds" else 1
-    cap = max(1, min(nev + n_out, _BLOCK // (nodes * modes.amp.size)))
+    cap = max(1, min(nev + n_out, _BLOCK // (nodes * amp.size)))
     cap = 0 if track == "none" else cap
-    snaps = np.empty((cap,) + modes.amp.shape, dtype=modes.amp.dtype)
+    snaps = np.empty((cap,) + amp.shape, dtype=amp.dtype)
     starts, lengths = np.empty(cap), np.empty(cap)
     det_run = np.zeros(d)
     due = []      # (output, segments of the block before it)
@@ -581,16 +558,17 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
         held = 0
 
     def advance(to_t: float):
-        nonlocal held
-        seg = to_t - modes.t
+        nonlocal held, t
+        seg = to_t - t
         if seg <= 0:
             return
         if track != "none":
             if held == cap:
                 integrate_block()
-            snaps[held], starts[held], lengths[held] = modes.amp, modes.t, seg
+            snaps[held], starts[held], lengths[held] = amp, t, seg
             held += 1
-        modes.advance(seg)
+        backend.advance(amp, seg)
+        t += seg
 
     i, o = 0, 1
     while True:
@@ -599,7 +577,8 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
         t_ev = ev_times[i] if i < nev else np.inf
         while o < n_out and out_times[o] <= t_ev:
             advance(out_times[o])
-            (pos[o],), (vel[o],) = modes.states(now)
+            (pos[o],), (vel[o],) = backend.states(amp[None], np.array([t]),
+                                                  now)
             due.append((o, held))
             jump_cum[o] = jump_run
             o += 1
@@ -607,7 +586,7 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
             break
         advance(t_ev)
         j, a, x = decode_triple(spec, triples[i])
-        transported = modes.exchange(j, a, x)
+        transported = backend.exchange(amp, t, j, a, x)
         jump_run[a] -= transported
         if bond_jump is not None:
             bond_jump[a, x] -= transported
@@ -650,13 +629,13 @@ def simulate_current_series(s0: PhaseState, t_end: float, dt_out: float,
     tables = kn.mode_tables(spec)
     times, ev_times, triples = _schedule(spec, t_end, dt_out, seed, index)
     block = FourierBlock(spec)
-    modes = block.modes(s0)
+    amp = block.amplitudes(s0)
     series = np.empty(len(times))
-    kn.run_loop(tables["dphase"], modes, block._tab["Vinv"][:, 1, 0],
-                block._half_b[0], ev_times, triples, series, dt_out,
-                len(times))
-    (pos,), (vel,) = modes.states(np.zeros(1))
-    return times, series, PhaseState(spec, pos, vel, float(times[-1]))
+    t = kn.run_loop(tables["dphase"], block, amp, 0.0, ev_times, triples,
+                    series, dt_out, len(times))
+    pos, vel = block.states(amp[None], np.array([t]), np.zeros((1, 1)))
+    return times, series, PhaseState(spec, pos[0, 0], vel[0, 0],
+                                     float(times[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Two routes to the finite-time conductivity kappa(t):
 
 * direct: the variance of the deterministically integrated total current,
   scaled by 1/(2 N^d E^2 t) (microcanonical) or beta^2/(8 N^d t) (canonical),
-  plus the exact exchange-noise constant gamma/(2 dstar) resp. gamma/4 --
-  the noise part is never estimated statistically, it is known in closed
-  form and the cross term with the deterministic part averages to zero;
+  plus the exact exchange-noise constant gamma/(2 dstar) -- the noise part
+  is never estimated statistically, it is known in closed form and the
+  cross term with the deterministic part averages to zero;
 * via the autocorrelation: the triangular-window integral of the estimated
   C(s) series with the same additive constant.
 
@@ -118,23 +118,26 @@ def safe_lag_window(n: int) -> float:
 
 def estimate_kappa(trajectories, a: int = 0, b: int = 0, *,
                    e: float | None = None, beta: float | None = None,
-                   dstar: int = 2,
                    gamma: float | None = None) -> CorrelationSeries:
     """Direct finite-time conductivity estimate on the trajectory grid.
 
     Uses the cumulative deterministic current integrals stored by
-    ``simulate(track="total")``.  Exactly one of ``e`` (microcanonical,
-    energy per site) or ``beta`` (canonical) must be given; ``gamma`` adds
-    the exchange-noise constant when a == b (pass the model's gamma).
-    The grid point t=0, where the estimate divides by t, is left out.
+    ``simulate(track="total")``; the trajectories must share their spec and
+    output grid.  Exactly one of ``e`` (microcanonical, energy per site) or
+    ``beta`` (canonical) must be given; ``gamma`` adds the exchange-noise
+    constant gamma/(2 dstar) when a == b (pass the model's gamma).  The
+    grid point t=0, where the estimate divides by t, is left out.
     """
     trajs = list(trajectories)
     if not trajs:
         raise SpecError("empty trajectory ensemble")
     if (e is None) == (beta is None):
         raise SpecError("give exactly one of e (micro) or beta (canonical)")
-    spec = trajs[0].spec
-    times = trajs[0].times[1:]
+    spec, grid = trajs[0].spec, trajs[0].times
+    if any(tr.spec != spec or not np.array_equal(tr.times, grid)
+           for tr in trajs):
+        raise SpecError("trajectories must share the spec and output grid")
+    times = grid[1:]
     if len(times) == 0:
         raise SpecError("no grid points after t=0")
     prods = np.empty((len(trajs), len(times)))
@@ -149,7 +152,7 @@ def estimate_kappa(trajectories, a: int = 0, b: int = 0, *,
         pref = beta * beta / (8.0 * spec.nsites * times)
     const = 0.0
     if a == b and gamma is not None:
-        const = gamma / (2.0 * dstar) if e is not None else gamma / 4.0
+        const = gamma / (2.0 * spec.dstar)
     return CorrelationSeries(
         times, pref * mean + const, pref * err,
         {"kind": "kappa", "a": a, "b": b,

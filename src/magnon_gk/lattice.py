@@ -51,8 +51,10 @@ class LatticeSpec:
             raise SpecError("d must be >= 1")
         if self.n < 3:
             raise SpecError("n must be >= 3")
-        if self.gamma <= 0:
-            raise SpecError("gamma must be > 0")
+        if not 0 < self.gamma < np.inf:
+            raise SpecError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not np.isfinite(self.b):
+            raise SpecError(f"b must be finite, got {self.b}")
         if self.charge not in CHARGES:
             raise SpecError(f"charge must be one of {CHARGES}, not "
                             f"{self.charge!r}; the model without a field "

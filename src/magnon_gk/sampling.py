@@ -59,8 +59,8 @@ def sample_microcanonical(spec: LatticeSpec, e: float,
     """One exact draw from the energy-per-site-E microcanonical measure."""
     if spec.coords != "position":
         raise SpecError("microcanonical sampling requires position coords")
-    if e <= 0:
-        raise SpecError("e must be > 0")
+    if not 0 < e < np.inf:
+        raise SpecError(f"e must be finite and > 0, got {e}")
     ns, ds, n, d = spec.nsites, spec.dstar, spec.n, spec.d
     pairs, partners, selfs, omega = _mode_tables(spec)
     m = sphere_dimension(spec)
@@ -101,8 +101,8 @@ def sample_canonical(spec: LatticeSpec, beta: float, tau=None,
     """
     if spec.coords != "deformation":
         raise SpecError("canonical sampling requires deformation coords")
-    if beta <= 0:
-        raise SpecError("beta must be > 0")
+    if not 0 < beta < np.inf:
+        raise SpecError(f"beta must be finite and > 0, got {beta}")
     if rng is None:
         raise SpecError("rng is required")
     ns, ds = spec.nsites, spec.dstar

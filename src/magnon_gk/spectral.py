@@ -194,7 +194,7 @@ def _pq_ratio(lam: float, om2: np.ndarray, b: float, gamma: float):
 def laplace_micro(lam: float, d: int, dstar: int, b: float, gamma: float,
                   e: float, n: int = 400, tol: float | None = 1e-8) -> float:
     """Laplace transform of the infinite-volume current autocorrelation."""
-    _check_args(gamma, lam, "lam")
+    _check_args(b, gamma, lam, "lam")
 
     def val(nn):
         def f(pts):
@@ -229,10 +229,13 @@ def _rs_ratio(lam: float, theta: np.ndarray, b: float, gamma: float):
     return R / S
 
 
-def _check_args(gamma: float, t, name: str = "t", zero_ok: bool = False):
-    """Reject a noise rate gamma that is not finite and > 0, and a time (or
-    Laplace variable) that is not finite or is below its range; an array t
-    is rejected if any of its elements is."""
+def _check_args(b: float, gamma: float, t, name: str = "t",
+                zero_ok: bool = False):
+    """Reject a field b that is not finite, a noise rate gamma that is not
+    finite and > 0, and a time (or Laplace variable) that is not finite or
+    is below its range; an array t is rejected if any of its elements is."""
+    if not np.isfinite(b):
+        raise ValueError(f"b must be finite, got {b}")
     if not 0.0 < gamma < np.inf:
         raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     ts = np.asarray(t, dtype=float)
@@ -251,7 +254,7 @@ def laplace_canonical(lam: float, variant: str, b: float, gamma: float,
                       beta: float, n: int = 400,
                       tol: float | None = 1e-8) -> float:
     """Laplace transform of the canonical current autocorrelation."""
-    _check_args(gamma, lam, "lam")
+    _check_args(b, gamma, lam, "lam")
     _check_variant(variant)
     if variant != "ii":
         return laplace_micro(lam, 1, 2, b if variant == "i" else 0.0, gamma,
@@ -646,7 +649,7 @@ def c_components(t, d: int, b: float, gamma: float, n: int = 500):
     term.  At B=0, c1 = 0 and c2 = c3 = c4/2.  Each has the shape of t (a
     scalar or an array of times).
     """
-    _check_args(gamma, t, zero_ok=True)
+    _check_args(b, gamma, t, zero_ok=True)
     rows = _assemble(_uniform_table(d, b, gamma, n), _EXP, t)
     return tuple(_shaped(r, t) for r in rows)
 
@@ -660,7 +663,7 @@ def c_infty(t, d: int = 1, dstar: int = 2, b: float = 1.0,
             gamma: float = 1.0, e: float = 1.0, n: int = 500):
     """Infinite-volume current autocorrelation assembled from components;
     a float for scalar t, an array of t's shape for an array."""
-    _check_args(gamma, t, zero_ok=True)
+    _check_args(b, gamma, t, zero_ok=True)
     rows = _assemble(_uniform_table(d, b, gamma, n), _EXP, t)
     return _shaped(e * e * (_uniform_weights(dstar) @ rows), t)
 
@@ -669,7 +672,7 @@ def d_closed(t, variant: str, b: float, gamma: float, beta: float,
              n: int = 500):
     """Closed-form canonical current autocorrelation at time t (a scalar or
     an array of times, as ``c_infty``)."""
-    _check_args(gamma, t, zero_ok=True)
+    _check_args(b, gamma, t, zero_ok=True)
     _check_variant(variant)
     if variant != "ii" or b == 0.0:
         return c_infty(t, 1, 2, b if variant != "0" else 0.0, gamma,
@@ -690,7 +693,7 @@ def kappa_gk_closed(t, *, kind: str = "micro", d: int = 1,
     quadrature is numerical.  t is a scalar (the result is a float) or an
     array of times evaluated in one pass (the result has its shape).
     """
-    _check_args(gamma, t)
+    _check_args(b, gamma, t)
     if kind not in ("micro", "canonical"):
         raise ValueError("kind must be 'micro' or 'canonical'")
     if kind == "canonical":

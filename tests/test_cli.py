@@ -183,6 +183,25 @@ def test_config_rejects_a_malformed_tau(tmp_path, monkeypatch, capsys, tau):
     assert run(["sample", "--config", "bad.json"]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["code"] == "SpecError" and "tau" in err["message"]
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("extra,name", [
+    ({"coords": "deformation", "beta": float("nan")}, "beta"),
+    ({"ensemble": "micro", "e": float("inf")}, "e"),
+    ({"b": float("nan")}, "b"),
+    ({"gamma": float("inf")}, "gamma")])
+def test_sample_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys,
+                                              extra, name):
+    # before, beta = NaN wrote rows of NaN and exited 0
+    monkeypatch.chdir(tmp_path)
+    cfg = {"n": 8, "out": "s.csv", **extra}
+    (tmp_path / "bad.json").write_text(json.dumps(cfg))
+    assert run(["sample", "--config", "bad.json"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == "SpecError"
+    assert err["message"].startswith(f"{name} must be finite")
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_thread_cap_is_set_before_numpy_loads():

@@ -415,7 +415,7 @@ def test_simulate_does_not_depend_on_the_block_size(spec, monkeypatch):
     rate = spec.gamma * spec.dstar * spec.d * spec.nsites
     t_end = 120.0 / rate
     s0 = oracle_state(spec, 45)
-    amps = dy.make_backend(spec).modes(s0).amp.size
+    amps = dy.make_backend(spec).amplitudes(s0).size
     for track in ("none", "total", "bonds"):
         seven = 7 * (12 if track == "bonds" else 1) * amps
         runs = []
@@ -435,12 +435,12 @@ def test_simulate_does_not_depend_on_the_block_size(spec, monkeypatch):
 def test_current_integral_matches_quadrature(spec, kind):
     s = oracle_state(spec, 43)
     backend = BACKENDS[kind](spec)
-    modes = backend.modes(s)
-    modes.advance(0.37)
+    amp = backend.amplitudes(s)
+    backend.advance(amp, 0.37)
     mid = backend.propagate(s, 0.37)
     lengths = np.array([0.03, 0.4, 2.5])
     # one batch: the same snapshot over three lengths
-    got = backend.current_integral(np.stack([modes.amp] * 3), lengths)
+    got = backend.current_integral(np.stack([amp] * 3), lengths)
     assert got.shape == (3, spec.d)
     for T, row in zip(lengths, got):
         ref = recursive_integral(
@@ -456,7 +456,7 @@ def test_current_integral_rows_do_not_depend_on_the_batch(spec):
     # of snapshots must give each row the bits of that snapshot alone
     backend = dy.FourierBlock(spec)
     rng = np.random.default_rng(3)
-    amp = backend.modes(oracle_state(spec, 46)).amp
+    amp = backend.amplitudes(oracle_state(spec, 46))
     amps = amp * (1.0 + 0.1 * rng.normal(size=(5000,) + amp.shape))
     lengths = rng.uniform(0.0, 0.3, size=5000)
     rows = [backend.current_integral(amps[p:p + 1], lengths[p:p + 1])[0]
@@ -469,18 +469,20 @@ def test_current_integral_rows_do_not_depend_on_the_batch(spec):
 def test_batched_quadrature_matches_recursion(spec, kind):
     # bond currents from one snapshot per segment, over mixed lengths
     backend = BACKENDS[kind](spec)
-    modes = backend.modes(oracle_state(spec, 44))
+    amp, t = backend.amplitudes(oracle_state(spec, 44)), 0.0
     lengths = np.array([1e-3, 0.05, 0.3, 1.0, 2.5, 0.7])
     snaps, starts, refs = [], [], []
     for T in lengths:
-        snaps.append(modes.amp.copy())
-        starts.append(modes.t)
-        mid = PhaseState(spec, *(f[0] for f in modes.states(np.zeros(1))))
+        snaps.append(amp.copy())
+        starts.append(t)
+        mid = PhaseState(spec, *(f[0, 0] for f in backend.states(
+            amp[None], np.array([t]), np.zeros((1, 1)))))
         refs.append(recursive_integral(
             lambda taus: bond_currents(
                 spec, *backend.propagate_batch(mid, taus)),
             0.0, T, 1e-13).reshape(spec.d, spec.nsites))
-        modes.advance(0.2)
+        backend.advance(amp, 0.2)
+        t += 0.2
     snaps, starts = np.array(snaps), np.array(starts)
     got = dy._adaptive_integral(
         lambda r, taus: bond_currents(
@@ -521,15 +523,15 @@ def test_quadrature_depth_cap_is_loud():
                                   if kind == "fourier"])
 def test_current_matches_total_current(spec):
     s = oracle_state(spec, 47)
-    modes = dy.FourierBlock(spec).modes(s)
-    t = 0.0
+    block = dy.FourierBlock(spec)
+    amp, t = block.amplitudes(s), 0.0
     for tau in (0.0, 0.4, 2.5):
-        modes.advance(tau - t)
+        block.advance(amp, tau - t)
         t = tau
-        (pos,), (vel,) = modes.states(np.zeros(1))
-        state = PhaseState(spec, pos, vel, tau)
+        pos, vel = block.states(amp[None], np.array([t]), np.zeros((1, 1)))
+        state = PhaseState(spec, pos[0, 0], vel[0, 0], tau)
         ref = np.array([total_current(state, a) for a in range(spec.d)])
-        got = modes.current()
+        got = block.current(amp)
         assert got.shape == (spec.d,)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 

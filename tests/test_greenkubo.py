@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magnon_gk.lattice import LatticeSpec
+from magnon_gk.lattice import LatticeSpec, SpecError
 from magnon_gk import dynamics as dy
 from magnon_gk import greenkubo as gk
 from magnon_gk.rng import stream
@@ -104,6 +104,32 @@ def test_kappa_zero_current_gives_noise_constant_only():
     assert np.allclose(kap.values, spec.gamma / 4.0)
     kap_cross = gk.estimate_kappa(trajs, a=0, b=0, e=2.0)  # no gamma passed
     assert np.allclose(kap_cross.values, 0.0)
+
+
+def test_kappa_noise_constant_follows_the_spec_dstar():
+    # gamma / (2 dstar) for both ensembles, with dstar from the trajectories
+    times = np.arange(5) * 0.5
+    for spec, ens in (
+            (LatticeSpec(d=1, dstar=3, n=8, b=1.0, gamma=1.5), {"e": 2.0}),
+            (LatticeSpec(d=2, dstar=3, n=4, b=1.0, gamma=1.5),
+             {"beta": 1.0})):
+        trajs = [_fake_traj(spec, times, np.zeros((5, spec.d)))
+                 for _ in range(3)]
+        kap = gk.estimate_kappa(trajs, gamma=spec.gamma, **ens)
+        assert np.array_equal(kap.values, np.full(4, spec.gamma / 6.0))
+        assert kap.meta["noise_constant"] == spec.gamma / 6.0
+
+
+def test_kappa_refuses_a_mixed_ensemble():
+    spec = LatticeSpec(d=1, dstar=2, n=8, b=1.0, gamma=1.0)
+    times = np.arange(3) * 0.5
+    same = _fake_traj(spec, times, np.zeros((3, 1)))
+    for other in (
+            _fake_traj(LatticeSpec(d=1, dstar=3, n=8, b=1.0, gamma=1.0),
+                       times, np.zeros((3, 1))),
+            _fake_traj(spec, times * 1.5, np.zeros((3, 1)))):
+        with pytest.raises(SpecError, match="share the spec"):
+            gk.estimate_kappa([same, other], e=1.0)
 
 
 def test_kappa_requires_exactly_one_ensemble():

@@ -225,6 +225,11 @@ def test_site_index_row_major():
     dict(d=1, dstar=2, n=5, b=1.0, gamma=1.0, charge="alternate",
          coords="deformation"),                          # odd n
     dict(d=2, dstar=2, n=5, b=1.0, gamma=1.0, coords="deformation"),
+    dict(d=1, dstar=2, n=5, b=np.nan, gamma=1.0),       # non-finite b
+    dict(d=1, dstar=2, n=5, b=np.inf, gamma=1.0),
+    dict(d=1, dstar=2, n=5, b=-np.inf, gamma=1.0),
+    dict(d=1, dstar=2, n=5, b=1.0, gamma=np.nan),       # non-finite gamma
+    dict(d=1, dstar=2, n=5, b=1.0, gamma=np.inf),
 ])
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(SpecError):

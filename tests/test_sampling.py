@@ -30,6 +30,18 @@ def test_microcanonical_energy_and_centering(n, d):
         assert np.abs(s.vel.sum(axis=1)).max() < 1e-9
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_samplers_reject_non_finite_energy_or_beta(value):
+    with pytest.raises(SpecError, match="^e must be finite"):
+        sa.sample_microcanonical(
+            LatticeSpec(d=1, dstar=2, n=8, b=1.0, gamma=1.0), value,
+            stream(0, "init"))
+    with pytest.raises(SpecError, match="^beta must be finite"):
+        sa.sample_canonical(
+            LatticeSpec(d=1, dstar=2, n=8, b=1.0, gamma=1.0,
+                        coords="deformation"), value, rng=stream(0, "init"))
+
+
 def test_microcanonical_requires_position_and_positive_energy():
     spec = LatticeSpec(d=1, dstar=2, n=8, b=1.0, gamma=1.0,
                        coords="deformation")

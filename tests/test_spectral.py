@@ -590,6 +590,22 @@ def test_closed_forms_reject_bad_rate_and_time(call, gamma, t):
         call(gamma, t)
 
 
+@pytest.mark.parametrize("b", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    lambda b: sp.c_components(1.0, 1, b, 1.0),
+    lambda b: sp.c_infty(1.0, 1, 2, b, 1.0),
+    lambda b: sp.d_closed(1.0, "ii", b, 0.5, 1.0),
+    lambda b: sp.kappa_gk_closed(1.0, kind="micro", b=b),
+    lambda b: sp.kappa_gk_closed(1.0, kind="canonical", variant="ii", b=b),
+    lambda b: sp.laplace_micro(0.5, 1, 2, b, 1.0, 1.0, n=8),
+    lambda b: sp.laplace_canonical(0.5, "ii", b, 1.0, 1.0, n=8)],
+    ids=["c_components", "c_infty", "d_closed-ii", "kappa-micro",
+         "kappa-canonical-ii", "laplace_micro", "laplace_canonical"])
+def test_closed_forms_reject_a_non_finite_field(call, b):
+    with pytest.raises(ValueError, match="^b must be finite"):
+        call(b)
+
+
 @pytest.mark.parametrize("call", [
     lambda t: sp.c_infty(t, 1, 2, 1.0, 1.0),
     lambda t: sp.c_infty(t, 3, 3, 0.5, 1.0, n=8),
