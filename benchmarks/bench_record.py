@@ -39,12 +39,14 @@ def git(*args: str) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else ""
 
 
-def run_perfbench(workload: str, seed: int, seconds: float):
-    """(environment, result line) of one untraced perfbench run."""
+def run_perfbench(workload: str, seed: int, seconds: float,
+                  root: str = ROOT):
+    """(environment, result line) of one untraced perfbench run of the
+    source tree at root."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
            workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"bench_record: {' '.join(cmd)} exited {proc.returncode}:"
                  f"\n{proc.stderr[-2000:]}")

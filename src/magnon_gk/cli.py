@@ -192,14 +192,15 @@ def cmd_certify(cfg: dict) -> int:
     from .resolvent import run_certification
     from .rng import stream
     from .sampling import ensemble_checks
-    rep = run_certification(int(cfg["n"]))
     spec = LatticeSpec(d=1, dstar=2, n=9, b=1.0, gamma=1.0)
     ens = ensemble_checks(spec, 2.0, int(cfg["samples"]),
                           stream(int(cfg["seed"]), "init"))
+    rep = run_certification(int(cfg["n"]))
     report = {"schema": "certify-report-1", "resolvent": {
         "pass": rep["pass"], "cases": len(rep["cases"]),
         "max_residual": max(
-            max(v for k, v in c.items() if k.endswith("residual"))
+            max(v for k, v in c.items()
+                if k.endswith("residual") or k == "row_sum")
             for c in rep["cases"])},
         "ensemble": {k: v for k, v in ens.items() if k != "samples"},
         "pass": bool(rep["pass"] and ens["pass"]),

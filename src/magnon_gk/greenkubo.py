@@ -167,7 +167,7 @@ def gk_integral_of_series(c: CorrelationSeries, t: float, *,
     plus the exchange-noise constant.
 
     Microcanonical: (1/E^2) int_0^t (1 - s/t) C(s) ds + gamma/(2 dstar).
-    Canonical: (beta^2/4) int_0^t (1 - s/t) D(s) ds + gamma/4.
+    Canonical: (beta^2/4) int_0^t (1 - s/t) D(s) ds + gamma/(2 dstar).
     """
     if (e is None) == (beta is None):
         raise SpecError("give exactly one of e (micro) or beta (canonical)")
@@ -178,6 +178,7 @@ def gk_integral_of_series(c: CorrelationSeries, t: float, *,
     s = ts[keep]
     w = (1.0 - s / t) * c.values[keep]
     integral = math.fsum(np.diff(s) * 0.5 * (w[1:] + w[:-1]))
+    noise = gamma / (2.0 * dstar)
     if e is not None:
-        return integral / (e * e) + gamma / (2.0 * dstar)
-    return beta * beta / 4.0 * integral + gamma / 4.0
+        return integral / (e * e) + noise
+    return beta * beta / 4.0 * integral + noise

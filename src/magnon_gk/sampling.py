@@ -10,10 +10,16 @@ the total energy is half the squared Euclidean norm over the nonzero modes, so
 the real and imaginary parts over one representative of each {xi, -xi} class
 (self-conjugate modes scaled by 1/sqrt(2)) are uniform on the sphere of radius
 sqrt(N^d E) in dimension 2 dstar (N^d - 1).  Sampling is a normalized Gaussian
-draw in those coordinates followed by an inverse DFT.
+draw in those coordinates followed by an inverse DFT.  One array code path,
+``_sphere_states``, maps a block of S Gaussian rows to S states with one
+inverse FFT over the lattice axes; a single draw is the block S = 1.
 
 Closed-form sphere moments make every ensemble fact exactly checkable at
 finite N; ``ensemble_checks`` compares Monte Carlo estimates against them.
+It draws its samples in blocks of at most ``_CHUNK`` sphere coordinates, so
+its memory does not grow with the sample count beyond four moments per
+sample, and the blocks are bitwise the states that one draw at a time from
+the same generator gives.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .lattice import (LatticeSpec, PhaseState, SpecError, omega2,
                       site_coords, site_index)
 
 _SQRT2 = np.sqrt(2.0)
+_CHUNK = 1 << 14   # sphere coordinates per block of ensemble_checks' draws
 
 
 @lru_cache(maxsize=64)
@@ -54,42 +61,50 @@ def sphere_dimension(spec: LatticeSpec) -> int:
     return 2 * spec.dstar * (spec.nsites - 1)
 
 
-def sample_microcanonical(spec: LatticeSpec, e: float,
-                          rng: np.random.Generator) -> PhaseState:
-    """One exact draw from the energy-per-site-E microcanonical measure."""
+def _check_micro(spec: LatticeSpec, e: float) -> None:
     if spec.coords != "position":
         raise SpecError("microcanonical sampling requires position coords")
     if not 0 < e < np.inf:
         raise SpecError(f"e must be finite and > 0, got {e}")
+
+
+def _sphere_states(spec: LatticeSpec, e: float, g: np.ndarray):
+    """(pos, vel), each of shape (S, dstar, N^d): the phase points that the
+    rows of the standard normals ``g`` (shape (S, m)) map to.
+
+    Each row is scaled in place to the sphere of radius sqrt(N^d E) and read
+    in the layout of ``_coefficient_vector``; one inverse FFT over the
+    lattice axes then forms every sample and component at once.  Row by row
+    this is the arithmetic of a single draw, so a block of rows gives
+    bitwise the states of drawing them one at a time.
+    """
     ns, ds, n, d = spec.nsites, spec.dstar, spec.n, spec.d
     pairs, partners, selfs, omega = _mode_tables(spec)
-    m = sphere_dimension(spec)
-    g = rng.standard_normal(m)
-    g *= np.sqrt(ns * e) / np.linalg.norm(g)
+    s, npair = len(g), len(pairs)
+    # vecdot is the same dot product as np.linalg.norm of one row
+    g *= (np.sqrt(ns * e) / np.sqrt(np.vecdot(g, g)))[:, None]
+    blk = g.reshape(s, ds, -1)
+    pair = blk[..., :4 * npair].reshape(s, ds, 2, 2, npair)  # q|v, re|im
+    tilde = np.zeros((s, ds, 2, ns), dtype=complex)          # q~ | v~
+    tilde[..., pairs] = pair[..., 0, :] + 1j * pair[..., 1, :]
+    tilde[..., partners] = np.conj(tilde[..., pairs])
+    tilde[..., selfs] = _SQRT2 * blk[..., 4 * npair:].reshape(s, ds, 2, -1)
+    # undo the rescaling: qhat = N^{d/2} q~ / omega, vhat = N^{d/2} v~
+    hat = np.sqrt(ns) * tilde
+    nz = omega > 0
+    hat[..., 0, nz] /= omega[nz]
+    x = np.fft.ifftn(hat.reshape((s, ds, 2) + (n,) * d),
+                     axes=range(3, 3 + d)).real.reshape(s, ds, 2, ns)
+    return x[:, :, 0], x[:, :, 1]
 
-    pos = np.empty((ds, ns))
-    vel = np.empty((ds, ns))
-    per = 4 * len(pairs) + 2 * len(selfs)
-    for j in range(ds):
-        block = g[j * per:(j + 1) * per]
-        npair = len(pairs)
-        qt = np.zeros(ns, dtype=complex)
-        vt = np.zeros(ns, dtype=complex)
-        qt[pairs] = block[0:npair] + 1j * block[npair:2 * npair]
-        vt[pairs] = block[2 * npair:3 * npair] + 1j * block[3 * npair:4 * npair]
-        qt[partners] = np.conj(qt[pairs])
-        vt[partners] = np.conj(vt[pairs])
-        rest = block[4 * npair:]
-        qt[selfs] = _SQRT2 * rest[:len(selfs)]
-        vt[selfs] = _SQRT2 * rest[len(selfs):]
-        # undo the rescaling: qhat = N^{d/2} q~ / omega, vhat = N^{d/2} v~
-        qhat = np.zeros(ns, dtype=complex)
-        nz = omega > 0
-        qhat[nz] = np.sqrt(ns) * qt[nz] / omega[nz]
-        vhat = np.sqrt(ns) * vt
-        pos[j] = np.fft.ifftn(qhat.reshape((n,) * d)).real.ravel()
-        vel[j] = np.fft.ifftn(vhat.reshape((n,) * d)).real.ravel()
-    return PhaseState(spec, pos, vel)
+
+def sample_microcanonical(spec: LatticeSpec, e: float,
+                          rng: np.random.Generator) -> PhaseState:
+    """One exact draw from the energy-per-site-E microcanonical measure."""
+    _check_micro(spec, e)
+    pos, vel = _sphere_states(
+        spec, e, rng.standard_normal(sphere_dimension(spec))[None])
+    return PhaseState(spec, pos[0].copy(), vel[0].copy())
 
 
 def sample_canonical(spec: LatticeSpec, beta: float, tau=None,
@@ -218,19 +233,34 @@ def lemma_fourier_sum(spec: LatticeSpec, e: float, x) -> float:
 def ensemble_checks(spec: LatticeSpec, e: float, samples: int,
                     rng: np.random.Generator) -> dict:
     """Monte Carlo estimates of the ensemble facts vs their exact values,
-    at the site x = e_1."""
+    at the site x = e_1.
+
+    The samples are drawn in blocks of at most ``_CHUNK`` sphere coordinates
+    (one sample, if it is larger), bitwise the states of ``samples`` calls
+    of ``sample_microcanonical`` on the same generator; only the four moment
+    columns are kept per sample.
+    """
+    _check_micro(spec, e)
+    if samples < 2:
+        raise SpecError(f"samples must be at least 2, got {samples}")
     x = np.zeros(spec.d, dtype=int)
     x[0] = 1
     ix, imx = site_index(spec, x), site_index(spec, -x)
-    acc = np.zeros((samples, 4))
-    for k in range(samples):
-        s = sample_microcanonical(spec, e, rng)
-        v0 = s.vel[0, 0]
-        acc[k, 0] = v0 * v0
-        acc[k, 1] = v0 ** 4
-        acc[k, 2] = v0 * v0 * s.vel[0, ix] ** 2
-        dq = s.pos[0, ix] - s.pos[0, imx]
-        acc[k, 3] = dq * dq * v0 * v0
+    m = sphere_dimension(spec)
+    step = max(1, _CHUNK // m)
+    acc = np.empty((samples, 4))
+    for k0 in range(0, samples, step):
+        k1 = min(k0 + step, samples)
+        pos, vel = _sphere_states(spec, e,
+                                  rng.standard_normal((k1 - k0, m)))
+        v0 = vel[:, 0, 0]
+        dq = pos[:, 0, ix] - pos[:, 0, imx]
+        acc[k0:k1, 0] = v0 * v0
+        # scalar pow, as one draw at a time takes it: numpy's vector pow
+        # can differ from it in the last bit
+        acc[k0:k1, 1] = [v ** 4 for v in v0.tolist()]
+        acc[k0:k1, 2] = v0 * v0 * vel[:, 0, ix] ** 2
+        acc[k0:k1, 3] = dq * dq * v0 * v0
     exact = microcanonical_moments(spec, e, x)
     keys = ("v2", "v4", "v2v2", "qqvv")
     report = {"n": spec.n, "samples": samples}

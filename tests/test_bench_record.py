@@ -1,4 +1,5 @@
-"""Unit tests of benchmarks/bench_record.py's summary and diff."""
+"""Unit tests of the summaries of benchmarks/bench_record.py (spread and
+diff) and benchmarks/bench_pair.py (per-pair ratios)."""
 
 import importlib.util
 import json
@@ -45,3 +46,35 @@ def test_diff_does_not_flag_gains_or_small_losses(capsys, ops, wall):
     lines = diff_lines(capsys, record(ops, wall))
     assert set(lines) == {"ops_per_s", "wall_s"}
     assert not any("WORSE" in line for line in lines.values())
+
+
+_pspec = importlib.util.spec_from_file_location(
+    "bench_pair", ROOT / "benchmarks" / "bench_pair.py")
+bp = importlib.util.module_from_spec(_pspec)
+_pspec.loader.exec_module(bp)
+
+
+def line(wall, ops, failed=0):
+    return {"attempted": 10, "failed": failed, "metrics": {
+        "wall_s": {"value": wall}, "ops_per_s": {"value": ops}}}
+
+
+def test_pair_summary_ratios_wins_and_failures():
+    pairs = [{"parent": line(1.0, 100.0), "change": line(0.5, 200.0)},
+             {"parent": line(2.0, 100.0), "change": line(1.0, 50.0, 1)},
+             {"parent": line(1.0, 100.0), "change": line(0.25, 300.0)},
+             {"parent": line(1.0, 100.0), "change": line(1.5, 100.0)},
+             {"parent": line(4.0, 100.0), "change": line(3.0, 150.0)}]
+    s = bp.pair_summary(pairs, {"wall_s": "lower", "ops_per_s": "higher"})
+    assert s["pairs"] == 5
+    assert s["failed"] == {"parent": 0, "change": 1}
+    assert s["attempted"] == {"parent": 50, "change": 50}
+    # wall ratios 0.5, 0.5, 0.25, 1.5, 0.75: lower won in 4, ties lose
+    wall = s["metrics"]["wall_s"]
+    assert wall["ratio"] == {"median": 0.5, "q1": 0.5, "q3": 0.75, "n": 5}
+    assert wall["ratio_iqr"] == 0.25 and wall["won"] == 4
+    assert wall["parent"]["median"] == 1.0 and wall["change"]["median"] == 1.0
+    # ops ratios 2, 0.5, 3, 1, 1.5: higher won in 3, the tie at 1 is no win
+    ops = s["metrics"]["ops_per_s"]
+    assert ops["ratio"]["median"] == 1.5 and ops["won"] == 3
+    assert ops["better"] == "higher"

@@ -114,6 +114,36 @@ def test_certify_passes(tmp_path, monkeypatch):
     assert rep["pass"] and rep["resolvent"]["max_residual"] < 1e-10
 
 
+def test_certify_rejects_fewer_than_two_samples(tmp_path, monkeypatch,
+                                                capsys):
+    # one sample has no standard error: before, NaN and a silent FAIL
+    monkeypatch.chdir(tmp_path)
+    assert run(["certify", "--n", "4", "--samples", "1",
+                "--out", "cert.json"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == "SpecError" and "samples" in err["message"]
+    assert not (tmp_path / "cert.json").exists()
+
+
+def test_certify_max_residual_covers_row_sums(tmp_path, monkeypatch):
+    # the reduction's pass depends on row_sum, so the reported maximum must
+    # cover it; raise one case's row_sum above every residual to see it
+    from magnon_gk import resolvent
+    real = resolvent.run_certification
+
+    def raised(n):
+        rep = real(n)
+        next(c for c in rep["cases"] if "row_sum" in c)["row_sum"] = 0.5
+        return rep
+
+    monkeypatch.setattr(resolvent, "run_certification", raised)
+    monkeypatch.chdir(tmp_path)
+    run(["certify", "--n", "4", "--samples", "50", "--out", "cert.json"])
+    got = json.loads((tmp_path / "cert.json").read_text())
+    rows = [c["row_sum"] for c in raised(4)["cases"] if "row_sum" in c]
+    assert got["resolvent"]["max_residual"] >= max(rows) == 0.5
+
+
 def test_sample_deterministic(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = ["sample", "--ensemble", "micro", "--n", "9", "--e", "2",

@@ -177,6 +177,16 @@ def test_gk_integral_trivial_inputs():
         gk.gk_integral_of_series(const, 4.0)
 
 
+def test_gk_integral_noise_constant_follows_dstar():
+    # gamma/(2 dstar) in both ensembles, as estimate_kappa adds it; the
+    # canonical branch used to add gamma/4 whatever dstar was
+    ts = np.linspace(0, 4, 33)
+    zero = gk.CorrelationSeries(ts, np.zeros_like(ts), np.zeros_like(ts))
+    for kw in (dict(e=1.0), dict(beta=2.0)):
+        got = gk.gk_integral_of_series(zero, 4.0, gamma=1.0, dstar=3, **kw)
+        assert got == pytest.approx(1.0 / 6.0, rel=1e-15)
+
+
 def test_gk_integral_reproduces_closed_form_kappa():
     t = 1.0
     h = 2e-3

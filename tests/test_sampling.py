@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from magnon_gk.lattice import LatticeSpec, SpecError, total_energy
+from magnon_gk.lattice import (LatticeSpec, SpecError, site_index,
+                               total_energy)
 from magnon_gk import sampling as sa
 from magnon_gk.rng import stream
 
@@ -111,6 +112,108 @@ def test_mc_moments_within_three_se_even_n_d2():
     spec = LatticeSpec(d=2, dstar=2, n=4, b=0.0, gamma=1.0)
     rep = sa.ensemble_checks(spec, 1.0, 2000, stream(8, "init"))
     assert rep["pass"], rep
+
+
+def _reference_draw(spec, e, rng):
+    """One microcanonical draw written out component by component, with
+    two inverse FFTs per component: the sampler's arithmetic, kept here as
+    the reference that the batched draw must reproduce bitwise."""
+    ns, ds, n, d = spec.nsites, spec.dstar, spec.n, spec.d
+    pairs, partners, selfs, omega = sa._mode_tables(spec)
+    g = rng.standard_normal(sa.sphere_dimension(spec))
+    g *= np.sqrt(ns * e) / np.linalg.norm(g)
+    pos, vel = np.empty((ds, ns)), np.empty((ds, ns))
+    npair, nself = len(pairs), len(selfs)
+    per = 4 * npair + 2 * nself
+    for j in range(ds):
+        blk = g[j * per:(j + 1) * per]
+        qt = np.zeros(ns, dtype=complex)
+        vt = np.zeros(ns, dtype=complex)
+        qt[pairs] = blk[0:npair] + 1j * blk[npair:2 * npair]
+        vt[pairs] = blk[2 * npair:3 * npair] + 1j * blk[3 * npair:4 * npair]
+        qt[partners] = np.conj(qt[pairs])
+        vt[partners] = np.conj(vt[pairs])
+        qt[selfs] = np.sqrt(2.0) * blk[4 * npair:4 * npair + nself]
+        vt[selfs] = np.sqrt(2.0) * blk[4 * npair + nself:]
+        qhat = np.zeros(ns, dtype=complex)
+        nz = omega > 0
+        qhat[nz] = np.sqrt(ns) * qt[nz] / omega[nz]
+        vhat = np.sqrt(ns) * vt
+        pos[j] = np.fft.ifftn(qhat.reshape((n,) * d)).real.ravel()
+        vel[j] = np.fft.ifftn(vhat.reshape((n,) * d)).real.ravel()
+    return pos, vel
+
+
+def _reference_moments(spec, e, samples, rng):
+    """ensemble_checks' four moment columns, one reference draw at a time."""
+    x = np.zeros(spec.d, dtype=int)
+    x[0] = 1
+    ix = site_index(spec, x)
+    imx = site_index(spec, -x)
+    acc = np.zeros((samples, 4))
+    for k in range(samples):
+        pos, vel = _reference_draw(spec, e, rng)
+        v0 = vel[0, 0]
+        dq = pos[0, ix] - pos[0, imx]
+        acc[k] = (v0 * v0, v0 ** 4, v0 * v0 * vel[0, ix] ** 2,
+                  dq * dq * v0 * v0)
+    return acc
+
+
+BATCH_SPECS = [dict(d=1, dstar=2, n=9, b=1.0), dict(d=2, dstar=2, n=4, b=0.0),
+               dict(d=1, dstar=3, n=8, b=1.0)]
+
+
+@pytest.mark.parametrize("kw", BATCH_SPECS)
+def test_microcanonical_draw_matches_the_reference(kw):
+    spec = LatticeSpec(gamma=1.0, **kw)
+    r1, r2 = stream(2, "init"), stream(2, "init")
+    for _ in range(20):
+        s = sa.sample_microcanonical(spec, 1.5, r1)
+        pos, vel = _reference_draw(spec, 1.5, r2)
+        assert np.array_equal(s.pos, pos) and np.array_equal(s.vel, vel)
+
+
+@pytest.mark.parametrize("kw", BATCH_SPECS)
+def test_batched_draws_equal_sequential_draws(kw):
+    spec = LatticeSpec(gamma=1.0, **kw)
+    r1, r2 = stream(4, "init"), stream(4, "init")
+    seq = [sa.sample_microcanonical(spec, 2.0, r1) for _ in range(37)]
+    pos, vel = sa._sphere_states(
+        spec, 2.0, r2.standard_normal((37, sa.sphere_dimension(spec))))
+    assert pos.shape == vel.shape == (37, spec.dstar, spec.nsites)
+    for k, s in enumerate(seq):
+        assert np.array_equal(s.pos, pos[k]) and np.array_equal(s.vel, vel[k])
+
+
+@pytest.mark.parametrize("kw", BATCH_SPECS)
+def test_ensemble_checks_does_not_depend_on_the_chunk(monkeypatch, kw):
+    spec = LatticeSpec(gamma=1.0, **kw)
+    m = sa.sphere_dimension(spec)
+    want = sa.ensemble_checks(spec, 2.0, 1200, stream(6, "init"))
+    assert 1200 * m > sa._CHUNK >= m    # the default chunk splits them
+    for per_chunk in (1, 7):
+        monkeypatch.setattr(sa, "_CHUNK", per_chunk * m)
+        assert sa.ensemble_checks(spec, 2.0, 1200, stream(6, "init")) == want
+
+
+@pytest.mark.parametrize("kw", BATCH_SPECS)
+def test_ensemble_checks_matches_a_per_sample_loop(kw):
+    spec = LatticeSpec(gamma=1.0, **kw)
+    samples = 700
+    rep = sa.ensemble_checks(spec, 2.0, samples, stream(9, "init"))
+    acc = _reference_moments(spec, 2.0, samples, stream(9, "init"))
+    for i, key in enumerate(("v2", "v4", "v2v2", "qqvv")):
+        assert rep[key]["mc"] == pytest.approx(acc[:, i].mean(), rel=1e-14)
+        se = acc[:, i].std(ddof=1) / np.sqrt(samples)
+        assert rep[key]["stderr"] == pytest.approx(se, rel=1e-14)
+
+
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_ensemble_checks_needs_two_samples(samples):
+    spec = LatticeSpec(d=1, dstar=2, n=9, b=1.0, gamma=1.0)
+    with pytest.raises(SpecError, match="samples must be at least 2"):
+        sa.ensemble_checks(spec, 2.0, samples, stream(0, "init"))
 
 
 def test_component_symmetry_ks():
