@@ -2,21 +2,21 @@
 """Compare two commits on the perfbench workloads in alternating pairs.
 
     python3 benchmarks/bench_pair.py PARENT CHANGE [--workload W] \\
-        [--pairs K] [--seed S] [--seconds T] [--tag TAG]
+        [--pairs K] [--seed S] [--tag TAG]
 
 Extracts each commit with ``git archive`` into its own temporary directory,
 then, per workload, runs K pairs of ``perfbench/run.py --workload W --seed S
---trace 0`` on the two trees, seeds S .. S+K-1.  Pair i runs the parent
-first when i is even and the change first when i is odd, so that a drift of
-the host's speed falls on both sides.  Per workload and end-to-end metric it
-prints the median of the per-pair ratio change/parent, the interquartile
-range of that ratio, the pairs the change won (better in the metric's
-direction of BENCHMARK.json) and failed/attempted operations on each side.
-Writes every result line and that summary, with the environment and both
-commits, to ``benchmarks/PAIRS_<TAG>.json`` (TAG defaults to the two short
-hashes).  A tool, not a gate: it exits 0
-whatever the ratios are.  Imports no numpy, so that the perfbench workers
-pin their thread pools before numpy loads.
+--trace 0`` on the two trees, seeds S .. S+K-1, with the run length
+BENCHMARK.json sets. Pair i runs the parent first when i is even and the
+change first when i is odd, so that a drift of the host's speed falls on
+both sides. Per workload and end-to-end metric it prints the median of the
+per-pair ratio change/parent, the interquartile range of that ratio, the
+pairs the change won (better in the metric's direction of BENCHMARK.json)
+and failed/attempted operations on each side. Writes every result line and
+that summary, with the environment and both commits, to
+``benchmarks/PAIRS_<TAG>.json`` (TAG defaults to the two short hashes). A
+tool, not a gate: it exits 0 whatever the ratios are. Imports no numpy, so
+that the perfbench workers pin their thread pools before numpy loads.
 """
 
 from __future__ import annotations
@@ -95,15 +95,12 @@ def main() -> int:
                          "of BENCHMARK.json)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0, help="seed of pair 0")
-    ap.add_argument("--seconds", type=float,
-                    help="run length (default: BENCHMARK.json's)")
     ap.add_argument("--tag", help="names the file PAIRS_<tag>.json "
                     "(default: the two short hashes)")
     args = ap.parse_args()
     with open(os.path.join(br.ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = (float(bench["run_seconds"]) if args.seconds is None
-               else args.seconds)
+    seconds = float(bench["run_seconds"])
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
