@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -140,18 +141,17 @@ def cmd_correlate(cfg: dict) -> int:
     spec = trajs[0].spec
     scfg = meta["config"]
     dt_out = float(trajs[0].dt_out)
-    corr = estimate_correlation(trajs, spec.nsites, dt_out,
-                                a=int(cfg["direction"]),
+    a = int(cfg["direction"])
+    corr = estimate_correlation(trajs, spec.nsites, dt_out, a=a,
                                 estimator=cfg["estimator"])
-    out = cfg["out"]
-    _write_series_csv(out, corr.times, corr.values, corr.stderr)
     kw = {"gamma": spec.gamma}
     if scfg.get("ensemble", "canonical") == "micro":
         kw["e"] = float(scfg.get("e", 1.0))
     else:
         kw["beta"] = float(scfg.get("beta", 1.0))
-    kap = estimate_kappa(trajs, **kw)
-    kout = cfg["kappa_out"]
+    kap = estimate_kappa(trajs, a=a, b=a, **kw)
+    out, kout = cfg["out"], cfg["kappa_out"]
+    _write_series_csv(out, corr.times, corr.values, corr.stderr)
     _write_series_csv(kout, kap.times, kap.values, kap.stderr)
     print(f"wrote {out} and {kout} ({len(trajs)} trajectories)")
     return 0
@@ -167,16 +167,19 @@ def cmd_closedform(cfg: dict) -> int:
     gamma_ = float(cfg["gamma"])
     tmin = float(cfg["tmin"])
     tmax = float(cfg["tmax"])
+    for name, t in (("tmin", tmin), ("tmax", tmax)):
+        if not (math.isfinite(t) and t > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {t}")
     pts = int(cfg["points"])
     times = np.logspace(np.log10(tmin), np.log10(tmax), pts)
     kw = dict(kind=kind, d=d, dstar=dstar, b=b, gamma=gamma_)
     if kind == "canonical":
         kw["variant"] = variant
     vals = kappa_gk_closed(times, **kw)
+    slope, stderr = fit_exponent(times, vals)  # a failed fit writes nothing
     out = cfg["out"]
     _write_series_csv(out, times, vals, np.zeros_like(vals),
                       header=("t", "value", "err_est"))
-    slope, stderr = fit_exponent(times, vals)
     report = {"schema": "closedform-report-2", "kind": kind,
               "variant": variant, "d": d, "dstar": dstar, "b": b,
               "gamma": gamma_, "slope": slope, "slope_stderr": stderr,
@@ -199,9 +202,8 @@ def cmd_certify(cfg: dict) -> int:
     report = {"schema": "certify-report-1", "resolvent": {
         "pass": rep["pass"], "cases": len(rep["cases"]),
         "max_residual": max(
-            max(v for k, v in c.items()
-                if k.endswith("residual") or k == "row_sum")
-            for c in rep["cases"])},
+            max(c["row_sum"], c["qv_residual"], c["pushforward_residual"],
+                c["vstarstar_residual"]) for c in rep["cases"])},
         "ensemble": {k: v for k, v in ens.items() if k != "samples"},
         "pass": bool(rep["pass"] and ens["pass"]),
         "config_hash": _config_hash(cfg)}

@@ -54,8 +54,15 @@ def jackknife(samples: np.ndarray):
     return samples.mean(axis=0), np.sqrt(var)
 
 
+def _check_directions(spec, *dirs):
+    for a in dirs:
+        if not 0 <= a < spec.d:
+            raise SpecError(f"direction {a} out of range for d={spec.d}")
+
+
 def trajectory_current_series(traj, a: int = 0) -> np.ndarray:
     """Instantaneous total current at the output grid of one trajectory."""
+    _check_directions(traj.spec, a)
     return bond_currents(traj.spec, traj.pos, traj.vel)[:, a].sum(axis=-1)
 
 
@@ -75,7 +82,8 @@ def estimate_correlation(trajectories, nsites: int, dt_out: float,
     """C(s) (or D(s) in deformation coords) from an ensemble of trajectories.
 
     ``trajectories`` may be Trajectory objects or precomputed total-current
-    series (1-d arrays on the shared output grid).  The value at lag s is
+    series (1-d arrays on the shared output grid); for Trajectory objects
+    the direction a must lie in 0..d-1.  The value at lag s is
     E[sum_x j_x(s) j_bond(0)] = E[J_tot(s) J_tot(0)] / N^d by translation
     invariance.  ``stationary`` averages the lag product over all start
     times; ``initial`` uses only t=0 (plain ensemble average).
@@ -110,12 +118,6 @@ def estimate_correlation(trajectories, nsites: int, dt_out: float,
          "nsites": nsites, "dt_out": dt_out, "direction": a})
 
 
-def safe_lag_window(n: int) -> float:
-    """Largest lag (in time units) for comparisons against infinite-lattice
-    closed forms: s <= N/4, a sound-cone heuristic."""
-    return n / 4.0
-
-
 def estimate_kappa(trajectories, a: int = 0, b: int = 0, *,
                    e: float | None = None, beta: float | None = None,
                    gamma: float | None = None) -> CorrelationSeries:
@@ -126,7 +128,8 @@ def estimate_kappa(trajectories, a: int = 0, b: int = 0, *,
     output grid.  Exactly one of ``e`` (microcanonical, energy per site) or
     ``beta`` (canonical) must be given; ``gamma`` adds the exchange-noise
     constant gamma/(2 dstar) when a == b (pass the model's gamma).  The
-    grid point t=0, where the estimate divides by t, is left out.
+    directions a and b must lie in 0..d-1.  The grid point t=0, where the
+    estimate divides by t, is left out.
     """
     trajs = list(trajectories)
     if not trajs:
@@ -134,6 +137,7 @@ def estimate_kappa(trajectories, a: int = 0, b: int = 0, *,
     if (e is None) == (beta is None):
         raise SpecError("give exactly one of e (micro) or beta (canonical)")
     spec, grid = trajs[0].spec, trajs[0].times
+    _check_directions(spec, a, b)
     if any(tr.spec != spec or not np.array_equal(tr.times, grid)
            for tr in trajs):
         raise SpecError("trajectories must share the spec and output grid")

@@ -213,11 +213,6 @@ def site_energies(state: PhaseState) -> np.ndarray:
             + 0.25 * r2 + 0.25 * np.roll(r2, 1))
 
 
-def site_energy(state: PhaseState, x) -> float:
-    """Energy of the oscillator at lattice point x."""
-    return float(site_energies(state)[site_index(state.spec, x)])
-
-
 def total_energy(state: PhaseState) -> float:
     return float(np.sum(site_energies(state)))
 
@@ -242,15 +237,6 @@ def currents_all(state: PhaseState, a: int = 0):
     vplus = state.vel[:, neighbor_tables(spec)[0][a]]
     js = -0.5 * spec.gamma * np.sum(vplus ** 2 - state.vel ** 2, axis=0)
     return ja, js
-
-
-def instantaneous_current(state: PhaseState, x, a: int = 0):
-    """(ja, js) across the bond from x to x+e_a (0-based direction a)."""
-    if not 0 <= a < state.spec.d:
-        raise SpecError(f"direction {a} out of range for d={state.spec.d}")
-    ja, js = currents_all(state, a)
-    i = site_index(state.spec, x)
-    return float(ja[i]), float(js[i])
 
 
 def total_current(state: PhaseState, a: int = 0) -> float:

@@ -48,17 +48,6 @@ class ComplexRootRegime(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# basic dispersion quantities
-
-
-def dispersion(theta, b: float):
-    """Mode frequencies sqrt(omega2 + (B/2)^2) +- B/2 of the coupled plane."""
-    om2 = omega2(theta)
-    root = np.sqrt(om2 + 0.25 * b * b)
-    return root + 0.5 * b, root - 0.5 * b
-
-
-# ---------------------------------------------------------------------------
 # quadrature grids
 
 
@@ -715,7 +704,7 @@ def kappa_gk_closed(t, *, kind: str = "micro", d: int = 1,
 # exponent fitting
 
 
-def fit_exponent(times, values, window=None):
+def fit_exponent(times, values):
     """Least-squares slope of log(value) vs log(t); returns (slope, stderr).
 
     Centred sums; the standard error comes from the residuals,
@@ -724,11 +713,8 @@ def fit_exponent(times, values, window=None):
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if window is not None:
-        keep = (times >= window[0]) & (times <= window[1])
-        times, values = times[keep], values[keep]
     if len(times) < 8:
-        raise ValueError("need at least 8 points in the fit window")
+        raise ValueError("need at least 8 points to fit")
     if np.any(values <= 0):
         raise ValueError("values must be positive for a log-log fit")
     x, y = np.log(times), np.log(values)

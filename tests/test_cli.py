@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,46 @@ def test_correlate_missing_input_fails_with_json(tmp_path, monkeypatch,
     assert set(err) == {"code", "message", "context"}
 
 
+@pytest.mark.parametrize("direction", ["1", "-1"])
+def test_correlate_rejects_a_direction_outside_the_lattice(
+        tmp_path, monkeypatch, capsys, direction):
+    # before, 1 ended in an IndexError traceback and -1 aliased to 0
+    monkeypatch.chdir(tmp_path)
+    run(["simulate", "--n", "8", "--coords", "deformation", "--t-end", "1",
+         "--dt-out", "0.5", "--n-traj", "2", "--out", "trajs"])
+    capsys.readouterr()
+    code = run(["correlate", "--input", "trajs", "--direction", direction,
+                "--out", "corr.csv", "--kappa-out", "kap.csv"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == "SpecError" and "direction" in err["message"]
+    assert not (tmp_path / "corr.csv").exists()
+    assert not (tmp_path / "kap.csv").exists()
+
+
+def test_correlate_direction_selects_both_series(tmp_path, monkeypatch):
+    from magnon_gk.dynamics import load_trajectory
+    from magnon_gk.greenkubo import estimate_correlation, estimate_kappa
+    monkeypatch.chdir(tmp_path)
+    run(["simulate", "--d", "2", "--n", "4", "--ensemble", "micro",
+         "--t-end", "2", "--dt-out", "0.5", "--n-traj", "3", "--seed", "4",
+         "--out", "trajs"])
+    assert run(["correlate", "--input", "trajs", "--direction", "1",
+                "--out", "corr.csv", "--kappa-out", "kap.csv"]) == 0
+    meta = json.loads((tmp_path / "trajs" / "meta.json").read_text())
+    trajs = [load_trajectory(str(tmp_path / "trajs" / f))
+             for f in meta["files"]]
+    gamma = trajs[0].spec.gamma
+    want = estimate_kappa(trajs, a=1, b=1, e=1.0, gamma=gamma).values
+    other = estimate_kappa(trajs, a=0, b=0, e=1.0, gamma=gamma).values
+    _, kap = read_csv(tmp_path / "kap.csv")
+    assert np.array_equal(kap[:, 1], want)
+    assert not np.array_equal(kap[:, 1], other)
+    corr = estimate_correlation(trajs, trajs[0].spec.nsites, 0.5, a=1)
+    _, got = read_csv(tmp_path / "corr.csv")
+    assert np.array_equal(got[:, 1], corr.values)
+
+
 def test_closedform_slope_report(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = run(["closedform", "--kind", "micro", "--b", "1", "--gamma", "1",
@@ -105,6 +146,35 @@ def test_closedform_rejects_nonpositive_gamma(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "kappa_closed.csv").exists()
 
 
+@pytest.mark.parametrize("points", ["5", "0"])
+def test_closedform_failed_fit_writes_nothing(tmp_path, monkeypatch, capsys,
+                                              points):
+    # before, the series CSV was written ahead of the fit that failed
+    monkeypatch.chdir(tmp_path)
+    code = run(["closedform", "--tmin", "1e2", "--tmax", "1e3",
+                "--points", points])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == "ValueError" and "8 points" in err["message"]
+    assert not (tmp_path / "kappa_closed.csv").exists()
+    assert not (tmp_path / "closedform_report.json").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--tmin", "0"), ("--tmax", "-1"),
+                                        ("--tmin", "inf")])
+def test_closedform_rejects_a_bad_time_bound_by_name(
+        tmp_path, monkeypatch, capsys, flag, value):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before logspace warns
+        code = run(["closedform", flag, value, "--points", "8"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == "ValueError"
+    assert err["message"].startswith(f"{flag[2:]} must be finite and > 0")
+    assert not (tmp_path / "kappa_closed.csv").exists()
+
+
 def test_certify_passes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = run(["certify", "--n", "6", "--samples", "400",
@@ -133,14 +203,14 @@ def test_certify_max_residual_covers_row_sums(tmp_path, monkeypatch):
 
     def raised(n):
         rep = real(n)
-        next(c for c in rep["cases"] if "row_sum" in c)["row_sum"] = 0.5
+        rep["cases"][0]["row_sum"] = 0.5
         return rep
 
     monkeypatch.setattr(resolvent, "run_certification", raised)
     monkeypatch.chdir(tmp_path)
     run(["certify", "--n", "4", "--samples", "50", "--out", "cert.json"])
     got = json.loads((tmp_path / "cert.json").read_text())
-    rows = [c["row_sum"] for c in raised(4)["cases"] if "row_sum" in c]
+    rows = [c["row_sum"] for c in raised(4)["cases"]]
     assert got["resolvent"]["max_residual"] >= max(rows) == 0.5
 
 

@@ -3,9 +3,8 @@ import pytest
 
 from magnon_gk.lattice import (
     LatticeSpec, PhaseState, SpecError, conserved_snapshot, currents_all,
-    instantaneous_current, neighbor_tables, q_to_r, r_to_q, site_energies,
-    site_coords, site_energy, site_index, total_current, total_energy,
-    zero_state,
+    neighbor_tables, q_to_r, r_to_q, site_coords, site_energies, site_index,
+    total_current, total_energy, zero_state,
 )
 
 
@@ -43,15 +42,15 @@ def dense_hamiltonian(spec):
 
 def test_zero_state_zero_energy():
     spec = LatticeSpec(d=1, dstar=2, n=5, b=1.0, gamma=0.7)
-    assert site_energy(zero_state(spec), 0) == 0.0
+    assert site_energies(zero_state(spec))[0] == 0.0
 
 
 def test_single_kinetic_site():
     spec = LatticeSpec(d=1, dstar=2, n=3, b=0.0, gamma=1.0)
     s = zero_state(spec)
     s.vel[0, 0] = 1.0
-    assert site_energy(s, 0) == pytest.approx(0.5)
-    assert site_energy(s, 1) == 0.0
+    assert site_energies(s)[0] == pytest.approx(0.5)
+    assert site_energies(s)[1] == 0.0
 
 
 @pytest.mark.parametrize("d,n", [(1, 7), (2, 5), (3, 4)])
@@ -102,14 +101,8 @@ def test_currents_zero_when_velocities_zero():
     spec = LatticeSpec(d=1, dstar=2, n=5, b=1.0, gamma=1.0)
     s = zero_state(spec)
     s.pos += np.random.default_rng(0).standard_normal(s.pos.shape)
-    ja, js = instantaneous_current(s, 2, 0)
-    assert ja == 0.0 and js == 0.0
-
-
-def test_instantaneous_current_direction_range():
-    spec = LatticeSpec(d=1, dstar=2, n=5, b=0.0, gamma=1.0)
-    with pytest.raises(SpecError):
-        instantaneous_current(zero_state(spec), 0, 1)
+    ja, js = currents_all(s, 0)
+    assert ja[2] == 0.0 and js[2] == 0.0
 
 
 def test_conserved_snapshot_zero_state():

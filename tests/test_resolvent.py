@@ -198,7 +198,28 @@ def test_certify_reduction_all_variants(spec):
 def test_run_certification_matrix():
     rep = rv.run_certification(n=6)
     assert rep["pass"]
-    assert len(rep["cases"]) == 3 * 3 * 2 * 3
+    assert len(rep["cases"]) == 3 * 3 * 2 * 2
+
+
+def test_run_certification_cases_have_one_shape():
+    keys = {"spec", "lambda", "row_sum", "qv_residual",
+            "pushforward_residual", "vstarstar_residual", "pass"}
+    for case in rv.run_certification(n=4)["cases"]:
+        assert set(case) == keys
+
+
+def test_uniform_case_qv_residual_is_the_position_residual():
+    # the (q, v) residual of the uniform deformation case is the position
+    # spec's, bit for bit: that is why the matrix runs no position case
+    checked = 0
+    for case in rv.run_certification(n=6)["cases"]:
+        spec = LatticeSpec.from_json(case["spec"])
+        if spec.charge == "uniform":
+            pos = LatticeSpec(d=1, dstar=2, n=6, b=spec.b, gamma=spec.gamma)
+            assert case["qv_residual"] == rv.position_residual(
+                pos, case["lambda"])
+            checked += 1
+    assert checked == 3 * 3 * 2
 
 
 def test_run_certification_has_no_repeated_case():

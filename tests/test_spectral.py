@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import ive
 
 from magnon_gk import spectral as sp
+from magnon_gk._kernels import eigen_tables
 from magnon_gk.lattice import omega2
 
 
@@ -17,10 +18,18 @@ def test_omega2_values():
     assert np.allclose(omega2(np.array([[0.5, 0.5], [0.0, 0.25]])), [8.0, 2.0])
 
 
+def dispersion(theta, b):
+    """The mode frequencies Omega +- B/2 that the backends run, with Omega
+    from ``_kernels.eigen_tables`` at the wavenumber theta."""
+    om2 = np.atleast_1d(omega2(theta))
+    om = eigen_tables(np.ones_like(om2, dtype=complex), om2, b)["iom"].imag
+    return om[0] + 0.5 * b, om[0] - 0.5 * b
+
+
 def test_dispersion_limits():
-    p, m = sp.dispersion(0.3, 0.0)
+    p, m = dispersion(0.3, 0.0)
     assert p == pytest.approx(m) and p == pytest.approx(np.sqrt(omega2(0.3)))
-    p, m = sp.dispersion(0.0, 2.0)
+    p, m = dispersion(0.0, 2.0)
     assert (p, m) == (pytest.approx(2.0), pytest.approx(0.0))
 
 
@@ -29,8 +38,8 @@ def test_dispersion_flat_at_origin():
     h = 1e-4
     for b in (1.0, 3.0):
         for branch in (0, 1):
-            slope = (sp.dispersion(2 * h, b)[branch]
-                     - sp.dispersion(h, b)[branch]) / h
+            slope = (dispersion(2 * h, b)[branch]
+                     - dispersion(h, b)[branch]) / h
             assert abs(slope) < 1e-2 * 4  # ~ O(h), not O(1)
         # compare against an acoustic chain where the slope is order 1
     acoustic = (np.sqrt(omega2(2 * h)) - np.sqrt(omega2(h))) / h
@@ -523,8 +532,9 @@ def test_fit_exponent_power_law_and_log():
     ts = np.logspace(2, 5, 40)
     slope, err = sp.fit_exponent(ts, 3.0 * ts ** 0.25)
     assert slope == pytest.approx(0.25, abs=1e-12)
-    s1, _ = sp.fit_exponent(ts, 2.0 * np.log(ts), window=(1e2, 1e3))
-    s2, _ = sp.fit_exponent(ts, 2.0 * np.log(ts), window=(1e4, 1e5))
+    # ts[:14] is [1e2, 1e3] and ts[26:] is [1e4, 1e5]
+    s1, _ = sp.fit_exponent(ts[:14], 2.0 * np.log(ts[:14]))
+    s2, _ = sp.fit_exponent(ts[26:], 2.0 * np.log(ts[26:]))
     assert s2 < s1  # slope drifts toward zero for log growth
 
 
