@@ -76,7 +76,7 @@ def test_correlate_missing_input_fails_with_json(tmp_path, monkeypatch,
 @pytest.mark.parametrize("direction", ["1", "-1"])
 def test_correlate_rejects_a_direction_outside_the_lattice(
         tmp_path, monkeypatch, capsys, direction):
-    # before, 1 ended in an IndexError traceback and -1 aliased to 0
+    # at d=1, 1 is past the last direction and -1 would alias to 0
     monkeypatch.chdir(tmp_path)
     run(["simulate", "--n", "8", "--coords", "deformation", "--t-end", "1",
          "--dt-out", "0.5", "--n-traj", "2", "--out", "trajs"])
@@ -149,7 +149,7 @@ def test_closedform_rejects_nonpositive_gamma(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("points", ["5", "0"])
 def test_closedform_failed_fit_writes_nothing(tmp_path, monkeypatch, capsys,
                                               points):
-    # before, the series CSV was written ahead of the fit that failed
+    # the fit runs before any file is written
     monkeypatch.chdir(tmp_path)
     code = run(["closedform", "--tmin", "1e2", "--tmax", "1e3",
                 "--points", points])
