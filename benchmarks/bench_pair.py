@@ -11,9 +11,11 @@ BENCHMARK.json sets. Pair i runs the parent first when i is even and the
 change first when i is odd, so that a drift of the host's speed falls on
 both sides. Per workload and end-to-end metric it prints the median of the
 per-pair ratio change/parent, the interquartile range of that ratio, the
-pairs the change won (better in the metric's direction of BENCHMARK.json)
-and failed/attempted operations on each side. Writes every result line and
-that summary, with the environment and both commits, to
+pairs the change won (better in the metric's direction of BENCHMARK.json),
+a verdict (``verdict``: gain, worse, unresolved or within bound, against
+the metric's BENCHMARK.json bound) and failed/attempted operations on each
+side, flagging a higher failed share in the change. Writes every result
+line and that summary, with the environment and both commits, to
 ``benchmarks/PAIRS_<TAG>.json`` (TAG defaults to the two short hashes). A
 tool, not a gate: it exits 0 whatever the ratios are. Imports no numpy, so
 that the perfbench workers pin their thread pools before numpy loads.
@@ -51,39 +53,68 @@ def extract(commit: str, dest: str) -> str:
     return sha
 
 
-def pair_summary(pairs: list[dict], better: dict) -> dict:
-    """Failed and attempted operations per side, and per end-to-end metric
-    of ``better`` (name -> "lower" | "higher") the median and quartiles of
-    change/parent over the pairs, the pairs the change won, and each side's
-    median and quartiles.  Each pair maps "parent" and "change" to a
-    perfbench result line."""
+def verdict(m: dict, pairs: int) -> str:
+    """The verdict on one metric's summary m over the pairs: "gain" if the
+    change won at least 9 pairs in 10 and its median is better than the
+    parent's by more than the parent's interquartile range; else "worse" if
+    its median is worse by more than the relative bound m["bound"]; else
+    "unresolved" if the parent's interquartile range exceeds that bound;
+    else "within bound"."""
+    parent, change, bound = m["parent"], m["change"], m["bound"]
+    sign = 1.0 if m["better"] == "lower" else -1.0
+    gap = sign * (parent["median"] - change["median"])
+    if 10 * m["won"] >= 9 * pairs and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -gap > bound * abs(parent["median"]):
+        return "worse"
+    if parent["q3"] - parent["q1"] > bound * abs(parent["median"]):
+        return "unresolved"
+    return "within bound"
+
+
+def pair_summary(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Failed and attempted operations per side, whether the change failed
+    a larger share, and per end-to-end metric of ``end_to_end`` (the
+    BENCHMARK.json entries: name, better "lower" | "higher", bound) the
+    median and quartiles of change/parent over the pairs, the pairs the
+    change won, each side's median and quartiles, and the ``verdict``.
+    Each pair maps "parent" and "change" to a perfbench result line."""
     metrics = {}
-    for name, direction in better.items():
+    for entry in end_to_end:
+        name, direction = entry["name"], entry["better"]
         vals = {side: [p[side]["metrics"][name]["value"] for p in pairs]
                 for side in SIDES}
         ratios = [c / a for a, c in zip(vals["parent"], vals["change"])]
         ratio = br.spread(ratios)
-        metrics[name] = {
+        m = metrics[name] = {
             "ratio": ratio, "ratio_iqr": ratio["q3"] - ratio["q1"],
             "won": sum(r < 1.0 if direction == "lower" else r > 1.0
                        for r in ratios),
-            "better": direction,
+            "better": direction, "bound": entry["bound"],
             **{side: br.spread(vals[side]) for side in SIDES}}
-    return {"pairs": len(pairs),
-            **{k: {side: sum(p[side][k] for p in pairs) for side in SIDES}
-               for k in ("failed", "attempted")},
+        m["verdict"] = verdict(m, len(pairs))
+    counts = {k: {side: sum(p[side][k] for p in pairs) for side in SIDES}
+              for k in ("failed", "attempted")}
+    share = {side: counts["failed"][side] / max(1, counts["attempted"][side])
+             for side in SIDES}
+    return {"pairs": len(pairs), **counts,
+            "failed_share_higher": share["change"] > share["parent"],
             "metrics": metrics}
 
 
 def print_summary(workload: str, summ: dict) -> None:
     fails = ", ".join(f"{side} {summ['failed'][side]}/"
                       f"{summ['attempted'][side]}" for side in SIDES)
-    print(f"{workload}: {summ['pairs']} pairs, failed/attempted {fails}")
+    flag = ("  HIGHER failed share in the change"
+            if summ["failed_share_higher"] else "")
+    print(f"{workload}: {summ['pairs']} pairs, failed/attempted "
+          f"{fails}{flag}")
     for name, m in summ["metrics"].items():
         print(f"  {name:<12} {m['parent']['median']:.6g} -> "
               f"{m['change']['median']:.6g}  ratio median "
               f"{m['ratio']['median']:.3f} IQR {m['ratio_iqr']:.3f}  "
-              f"won {m['won']}/{summ['pairs']} ({m['better']} is better)")
+              f"won {m['won']}/{summ['pairs']} ({m['better']} is better)"
+              f"  {m['verdict']}")
 
 
 def main() -> int:
@@ -102,7 +133,8 @@ def main() -> int:
         bench = json.load(fh)
     seconds = float(bench["run_seconds"])
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    end_to_end = bench["end_to_end"]
+    names = [m["name"] for m in end_to_end]
 
     with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
         trees = {side: os.path.join(tmp, side) for side in SIDES}
@@ -124,8 +156,8 @@ def main() -> int:
                 print(f"{wl} seed {seed}: " + ", ".join(
                     f"{k} {pair['parent']['metrics'][k]['value']:.4g} -> "
                     f"{pair['change']['metrics'][k]['value']:.4g}"
-                    for k in better), flush=True)
-            summary[wl] = pair_summary(pairs, better)
+                    for k in names), flush=True)
+            summary[wl] = pair_summary(pairs, end_to_end)
     for wl, summ in summary.items():
         print_summary(wl, summ)
     tag = args.tag or f"{commits['parent'][:8]}-{commits['change'][:8]}"

@@ -14,6 +14,7 @@ Dense kernels only; intended for desk-scale certification work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,6 +159,20 @@ def swap_pairs(spec: LatticeSpec) -> np.ndarray:
                            for p in plus for j in range(spec.dstar)])
 
 
+@lru_cache(maxsize=16)
+def _swap_indices(spec: LatticeSpec):
+    """i1, i2 of ``swap_pairs``, the pair range, and the row and column
+    indices (i1, i2, i1, i2), (i1, i2, i2, i1) at which ``apply_swap_sum``
+    scatters the e e^T terms; read-only, as they are shared."""
+    i1, i2 = swap_pairs(spec).T
+    arrays = (i1.copy(), i2.copy(), np.arange(len(i1)),
+              np.concatenate([i1, i2, i1, i2]),
+              np.concatenate([i1, i2, i2, i1]))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def apply_swap_sum(u: QuadraticObservable) -> QuadraticObservable:
     """S u = sum over bonds and components of (u after swap) - u.
 
@@ -166,19 +181,17 @@ def apply_swap_sum(u: QuadraticObservable) -> QuadraticObservable:
     part by -e (e.b).
     """
     K, lin = u.kernel, u.linear
-    i1, i2 = swap_pairs(u.spec).T
+    i1, i2, p, at_rows, at_cols = _swap_indices(u.spec)
     v = K[i1] - K[i2]  # v = K e of each pair, as a row (K is symmetric)
-    p = np.arange(len(i1))
     ev = v[p, i1] - v[p, i2]
     rows = np.zeros_like(K)
     np.add.at(rows, i1, v)
     np.add.at(rows, i2, -v)
     Kout = -(rows + rows.T)
-    np.add.at(Kout, (np.r_[i1, i2, i1, i2], np.r_[i1, i2, i2, i1]),
-              np.r_[ev, ev, -ev, -ev])
+    np.add.at(Kout, (at_rows, at_cols), np.concatenate([ev, ev, -ev, -ev]))
     eb = lin[i1] - lin[i2]
     bout = np.zeros_like(lin)
-    np.add.at(bout, np.r_[i1, i2], np.r_[-eb, eb])
+    np.add.at(bout, at_rows[:2 * len(p)], np.concatenate([-eb, eb]))
     return QuadraticObservable(u.spec, Kout, bout, 0.0)
 
 

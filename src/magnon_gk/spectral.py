@@ -16,7 +16,9 @@ integrates a table for a kernel K: K(z) = e^{zt} gives the correlation
 (``c_components``, ``c_infty``, ``d_closed``), the triangular window
 int_0^t (1 - s/t) e^{zs} ds the finite-time Green-Kubo integral
 (``kappa_gk_closed``).  The Laplace transforms do not use the tables; tests
-compare the two.
+compare the two.  The oscillating rows of d=1 go on 10-node Gauss-Legendre
+panels that follow their phase, pi rad per panel.  A row its caller weights
+by zero is not evaluated: at dstar=2 the uniform charge's uncoupled row.
 
 The zone grid of d >= 3 is folded over permutations of the axes 2..d: every
 integrand sees those axes only through sum_a sin^2(pi theta^a), so
@@ -36,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -184,6 +187,7 @@ def laplace_micro(lam: float, d: int, dstar: int, b: float, gamma: float,
                   e: float, n: int = 400, tol: float | None = 1e-8) -> float:
     """Laplace transform of the infinite-volume current autocorrelation."""
     _check_args(b, gamma, lam, "lam")
+    _check_dims(d, dstar, b)
 
     def val(nn):
         def f(pts):
@@ -234,6 +238,16 @@ def _check_args(b: float, gamma: float, t, name: str = "t",
                          f"{'>=' if zero_ok else '>'} 0, got {ts[bad][0]}")
 
 
+def _check_dims(d: int, dstar: int = 2, b: float = 0.0):
+    """Reject what ``LatticeSpec`` rejects: a d or dstar that is not an
+    integer >= 1, and a field b != 0 with dstar < 2."""
+    for name, v in (("d", d), ("dstar", dstar)):
+        if not (isinstance(v, numbers.Integral) and v >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+    if b != 0.0 and dstar < 2:
+        raise ValueError(f"dstar must be >= 2 when b != 0, got {dstar}")
+
+
 def _check_variant(variant: str):
     if variant not in ("0", "i", "ii"):
         raise ValueError("variant must be '0', 'i' or 'ii'")
@@ -264,9 +278,12 @@ def laplace_canonical(lam: float, variant: str, b: float, gamma: float,
 
 
 # intervals of the grid on which _panel_nodes follows the phase, the phase
-# one panel spans and its Gauss-Legendre nodes
-_COARSE = 512
-_RAD_PER_PANEL = np.pi / 4
+# one panel spans and its Gauss-Legendre nodes.  A 10-node rule over phi rad
+# of a pure phase errs by about (phi/2)^20 (10!)^4 / (21 (20!)^3), 5e-27 at
+# phi = pi: the values are limited by the rounding of the phase a1 t, not
+# by the rule, so a panel spans pi.  (At 2 pi the rule's error shows.)
+_COARSE = 128
+_RAD_PER_PANEL = np.pi
 _PER_PANEL = 10
 
 
@@ -330,7 +347,12 @@ def triangular_window_integral(z, T):
         w = -1.0 / x - (1.0 - ex) / (x * x)
     small = np.abs(x) < 0.5
     if small.any():
-        w[small] = np.polyval(_WINDOW_SERIES, x[small])
+        xs = x[small]
+        y = np.zeros_like(xs)
+        for c in _WINDOW_SERIES:
+            y *= xs
+            y += c
+        w[small] = y
     out = T * w
     return out[0] if scalar else out
 
@@ -571,28 +593,34 @@ _GRID_CHUNK = 1 << 17
 _PANEL_NODES = 2048
 
 
-def _assemble(table: _Table, kernel, t) -> np.ndarray:
+def _assemble(table: _Table, kernel, t, weights=None) -> np.ndarray:
     """Zone integrals of Re c_k K(z_k) at the times t, flattened (a scalar
     is a series of one time): rows x times.
 
     The times go in blocks: the grid kernel is evaluated on grid x block,
-    and the panel rows once on the panel nodes of the whole block.
+    and the panel rows once on the panel nodes of the whole block.  A row
+    whose entry in ``weights`` (the caller's weights of the rows, if given)
+    is zero is left at 0 and its kernel is not evaluated.
     """
     full, smooth, tail = kernel
     split = table.n_panel
     t = np.asarray(t, dtype=float).ravel()
-    out = np.empty((len(table.c), len(t)))
+    out = np.zeros((len(table.c), len(t)))
+    skip = np.zeros(len(out), bool) if weights is None else weights == 0.0
     step = max(1, _GRID_CHUNK // (len(table.wts) + _PANEL_NODES * split))
     for j in range(0, len(t), step):
         tj = t[j:j + step]
         kz = {}  # rows that share a z array share its kernel values
         for k, (ck, zk) in enumerate(zip(table.c, table.z)):
+            if skip[k]:
+                continue
             key = (id(zk), k < split)
             if key not in kz:
                 kz[key] = (smooth if k < split else full)(zk[:, None], tj)
             out[k, j:j + step] = table.wts @ (ck[:, None] * kz[key]).real
         if split:
             out[:split, j:j + step] += _panel_sums(table, tail, tj)
+    out[skip] = 0.0
     return out
 
 
@@ -639,6 +667,7 @@ def c_components(t, d: int, b: float, gamma: float, n: int = 500):
     scalar or an array of times).
     """
     _check_args(b, gamma, t, zero_ok=True)
+    _check_dims(d)
     rows = _assemble(_uniform_table(d, b, gamma, n), _EXP, t)
     return tuple(_shaped(r, t) for r in rows)
 
@@ -653,8 +682,10 @@ def c_infty(t, d: int = 1, dstar: int = 2, b: float = 1.0,
     """Infinite-volume current autocorrelation assembled from components;
     a float for scalar t, an array of t's shape for an array."""
     _check_args(b, gamma, t, zero_ok=True)
-    rows = _assemble(_uniform_table(d, b, gamma, n), _EXP, t)
-    return _shaped(e * e * (_uniform_weights(dstar) @ rows), t)
+    _check_dims(d, dstar, b)
+    wts = _uniform_weights(dstar)
+    rows = _assemble(_uniform_table(d, b, gamma, n), _EXP, t, wts)
+    return _shaped(e * e * (wts @ rows), t)
 
 
 def d_closed(t, variant: str, b: float, gamma: float, beta: float,
@@ -685,8 +716,12 @@ def kappa_gk_closed(t, *, kind: str = "micro", d: int = 1,
     _check_args(b, gamma, t)
     if kind not in ("micro", "canonical"):
         raise ValueError("kind must be 'micro' or 'canonical'")
+    _check_dims(d, dstar, b)
     if kind == "canonical":
         _check_variant(variant)
+        if (d, dstar) != (1, 2):
+            raise ValueError(f"the canonical closed forms are for d=1, "
+                             f"dstar=2, got d={d}, dstar={dstar}")
         if variant == "ii" and b != 0.0:  # as in d_closed
             if gamma > 1.0:
                 raise ComplexRootRegime(
@@ -695,9 +730,10 @@ def kappa_gk_closed(t, *, kind: str = "micro", d: int = 1,
                     "integration")
             rows = _assemble(_alternate_table(b, gamma, n), _WINDOW, t)
             return _shaped(rows.sum(axis=0) + gamma / 4.0, t)
-        d, dstar, b = 1, 2, (b if variant != "0" else 0.0)
-    rows = _assemble(_uniform_table(d, b, gamma, n), _WINDOW, t)
-    return _shaped(_uniform_weights(dstar) @ rows + gamma / (2.0 * dstar), t)
+        b = b if variant != "0" else 0.0
+    wts = _uniform_weights(dstar)
+    rows = _assemble(_uniform_table(d, b, gamma, n), _WINDOW, t, wts)
+    return _shaped(wts @ rows + gamma / (2.0 * dstar), t)
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +751,10 @@ def fit_exponent(times, values):
     values = np.asarray(values, dtype=float)
     if len(times) < 8:
         raise ValueError("need at least 8 points to fit")
-    if np.any(values <= 0):
-        raise ValueError("values must be positive for a log-log fit")
+    if not np.all((times > 0) & (times < np.inf)):
+        raise ValueError("times must be finite and > 0 for a log-log fit")
+    if not np.all((values > 0) & (values < np.inf)):
+        raise ValueError("values must be finite and > 0 for a log-log fit")
     x, y = np.log(times), np.log(values)
     x, y = x - x.mean(), y - y.mean()
     sxx = x @ x

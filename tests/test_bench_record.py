@@ -13,8 +13,8 @@ _spec = importlib.util.spec_from_file_location(
 br = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(br)
 
-BOUNDS = {m["name"]: (m["better"], m["bound"]) for m in json.loads(
-    (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+BOUNDS = {m["name"]: (m["better"], m["bound"]) for m in END_TO_END}
 
 
 def test_spread_median_and_quartiles():
@@ -59,16 +59,20 @@ def line(wall, ops, failed=0):
         "wall_s": {"value": wall}, "ops_per_s": {"value": ops}}}
 
 
+WALL_AND_OPS = [m for m in END_TO_END if m["name"] in ("wall_s", "ops_per_s")]
+
+
 def test_pair_summary_ratios_wins_and_failures():
     pairs = [{"parent": line(1.0, 100.0), "change": line(0.5, 200.0)},
              {"parent": line(2.0, 100.0), "change": line(1.0, 50.0, 1)},
              {"parent": line(1.0, 100.0), "change": line(0.25, 300.0)},
              {"parent": line(1.0, 100.0), "change": line(1.5, 100.0)},
              {"parent": line(4.0, 100.0), "change": line(3.0, 150.0)}]
-    s = bp.pair_summary(pairs, {"wall_s": "lower", "ops_per_s": "higher"})
+    s = bp.pair_summary(pairs, WALL_AND_OPS)
     assert s["pairs"] == 5
     assert s["failed"] == {"parent": 0, "change": 1}
     assert s["attempted"] == {"parent": 50, "change": 50}
+    assert s["failed_share_higher"]
     # wall ratios 0.5, 0.5, 0.25, 1.5, 0.75: lower won in 4, ties lose
     wall = s["metrics"]["wall_s"]
     assert wall["ratio"] == {"median": 0.5, "q1": 0.5, "q3": 0.75, "n": 5}
@@ -78,3 +82,22 @@ def test_pair_summary_ratios_wins_and_failures():
     ops = s["metrics"]["ops_per_s"]
     assert ops["ratio"]["median"] == 1.5 and ops["won"] == 3
     assert ops["better"] == "higher"
+    # the parent's wall times 1, 1, 1, 2, 4 have an IQR of 1, over the
+    # bound; the ops gain of 1.5 won only 3 pairs
+    assert wall["verdict"] == "unresolved"
+    assert ops["verdict"] == "within bound"
+
+
+def test_pair_summary_verdicts_gain_and_worse():
+    # ops 150 against 100..109 (IQR 4.5) in 9 pairs of 10; wall times
+    # doubled against a bound of 24%
+    pairs = [{"parent": line(1.0 + 0.01 * i, 100.0 + i),
+              "change": line(2.0, 150.0 if i else 50.0)} for i in range(10)]
+    s = bp.pair_summary(pairs, WALL_AND_OPS)
+    assert s["metrics"]["ops_per_s"]["verdict"] == "gain"
+    assert s["metrics"]["wall_s"]["verdict"] == "worse"
+    assert not s["failed_share_higher"]
+    # 8 wins of 10 is no gain, however large the median gap
+    pairs[1]["change"] = line(2.0, 50.0)
+    s = bp.pair_summary(pairs, WALL_AND_OPS)
+    assert s["metrics"]["ops_per_s"]["verdict"] == "within bound"

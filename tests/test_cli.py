@@ -146,6 +146,21 @@ def test_closedform_rejects_nonpositive_gamma(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "kappa_closed.csv").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--kind", "canonical", "--d", "2", "--dstar", "3"],
+    ["--dstar", "0"], ["--dstar", "1"], ["--d", "0"]],
+    ids=["canonical-d2-dstar3", "dstar0", "dstar1-field", "d0"])
+def test_closedform_rejects_dimensions_the_model_rejects(
+        tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    code = run(["closedform", "--points", "8", *args])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == "ValueError"
+    assert not (tmp_path / "kappa_closed.csv").exists()
+    assert not (tmp_path / "closedform_report.json").exists()
+
+
 @pytest.mark.parametrize("points", ["5", "0"])
 def test_closedform_failed_fit_writes_nothing(tmp_path, monkeypatch, capsys,
                                               points):

@@ -7,7 +7,8 @@ from scipy.special import ive
 
 from magnon_gk import spectral as sp
 from magnon_gk._kernels import eigen_tables
-from magnon_gk.lattice import omega2
+from magnon_gk.lattice import LatticeSpec, omega2
+from magnon_gk.observables import _swap_indices
 
 
 def test_omega2_values():
@@ -427,7 +428,9 @@ def test_cached_tables_are_read_only(table):
     arrays = [*tab.c, *tab.z, tab.wts, *tab.profile,
               *sp._tensor_grid(1, 40),
               *sp._tensor_grid(3, 6),
-              *sp._axis_nodes(40, 0.25), *sp._gauss_legendre(10)]
+              *sp._axis_nodes(40, 0.25), *sp._gauss_legendre(10),
+              *_swap_indices(LatticeSpec(d=2, dstar=3, n=4, b=1.0,
+                                         gamma=1.0))]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -572,6 +575,20 @@ def test_fit_exponent_preconditions():
         sp.fit_exponent(ts, np.concatenate([[-1.0], ts[1:]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_exponent_rejects_non_finite_values(bad):
+    ts = np.logspace(1, 2, 10)
+    with pytest.raises(ValueError, match="^values must be finite"):
+        sp.fit_exponent(ts, np.concatenate([[bad], ts[1:]]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_fit_exponent_rejects_times_off_the_log_scale(bad):
+    ts = np.logspace(1, 2, 10)
+    with pytest.raises(ValueError, match="^times must be finite"):
+        sp.fit_exponent(np.concatenate([[bad], ts[1:]]), ts)
+
+
 @pytest.mark.parametrize("gamma,t", [
     (0.0, 10.0), (-1.0, 10.0), (np.nan, 10.0), (np.inf, 10.0),
     (1.0, np.inf), (1.0, np.nan), (1.0, -1.0),
@@ -652,3 +669,109 @@ def test_series_split_into_blocks(monkeypatch, call):
     got = call(ts)
     for t, v in zip(ts, got):
         assert call(t) == pytest.approx(v, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sp.kappa_gk_closed(100.0, dstar=1),
+    lambda: sp.kappa_gk_closed(100.0, dstar=0),
+    lambda: sp.kappa_gk_closed(100.0, d=0),
+    lambda: sp.kappa_gk_closed(100.0, d=1.5),
+    lambda: sp.kappa_gk_closed(100.0, d=2.0),
+    lambda: sp.kappa_gk_closed(100.0, kind="canonical", d=2, dstar=3),
+    lambda: sp.kappa_gk_closed(100.0, kind="canonical", variant="ii",
+                               dstar=3),
+    lambda: sp.c_infty(1.0, 1, 1, 1.0, 1.0),
+    lambda: sp.c_infty(1.0, 0, 2, 1.0, 1.0),
+    lambda: sp.c_components(1.0, 0, 1.0, 1.0),
+    lambda: sp.laplace_micro(0.5, 1, 1, 1.0, 1.0, 1.0, n=8)],
+    ids=["kappa-dstar1-field", "kappa-dstar0", "kappa-d0", "kappa-d-float",
+         "kappa-d-integral-float", "canonical-d2-dstar3", "canonical-ii-dstar3",
+         "c_infty-dstar1-field", "c_infty-d0", "c_components-d0",
+         "laplace_micro-dstar1-field"])
+def test_closed_forms_reject_dimensions_the_model_rejects(call):
+    # kappa_gk_closed(100, dstar=1) was -1.155 and canonical d=2, dstar=3
+    # was the d=1, dstar=2 value
+    with pytest.raises(ValueError, match="must be|are for d=1"):
+        call()
+
+
+def test_scalar_velocities_without_a_field_are_accepted():
+    # the model admits dstar=1 at b=0; there the correlation and the noise
+    # term both scale as 1/dstar, so kappa is twice its dstar=2 value
+    kap = sp.kappa_gk_closed(100.0, dstar=1, b=0.0)
+    assert kap == pytest.approx(
+        2.0 * sp.kappa_gk_closed(100.0, dstar=2, b=0.0), rel=1e-12)
+
+
+def _clear_table_caches():
+    for cache in vars(sp).values():
+        if hasattr(cache, "cache_clear"):
+            cache.cache_clear()
+
+
+FIELDS = [(1.0, 1.0), (2.0, 0.5), (-2.0, 0.5), (0.5, 1.0), (1.0, 0.1)]
+
+
+@pytest.fixture
+def quarter_panels(monkeypatch):
+    """The panel rule at pi/4 rad per panel on a 512-interval coarse grid,
+    with the table caches, which hold the phase profile, cleared around."""
+    def values(f):
+        _clear_table_caches()
+        with monkeypatch.context() as m:
+            m.setattr(sp, "_RAD_PER_PANEL", np.pi / 4)
+            m.setattr(sp, "_COARSE", 512)
+            try:
+                return f()
+            finally:
+                _clear_table_caches()
+    return values
+
+
+@pytest.mark.parametrize("b,g", FIELDS)
+def test_pi_panels_match_quarter_pi_panels(quarter_panels, b, g):
+    ts = np.array([0.5, 10.0, 100.0, 1e3])
+    c = sp.c_infty(ts, 1, 2, b, g)
+    c1 = sp.c_components(ts, 1, b, g)[0]
+    ref_c, ref_c1 = quarter_panels(lambda: (
+        sp.c_infty(ts, 1, 2, b, g), sp.c_components(ts, 1, b, g)[0]))
+    assert np.all(np.abs(c - ref_c) <= 1e-12 * np.abs(ref_c))
+    assert np.all(np.abs(c1 - ref_c1) <= 1e-12 * np.abs(ref_c))
+
+
+@pytest.mark.parametrize("kw", [dict(b=b, gamma=g) for b, g in FIELDS]
+                         + [dict(kind="canonical", variant="ii", gamma=0.5),
+                            dict(kind="canonical", variant="ii", b=2.0,
+                                 gamma=1.0)],
+                         ids=[f"micro-B{b:g}-g{g:g}" for b, g in FIELDS]
+                         + ["canonical-ii-B1-g0.5", "canonical-ii-B2-g1"])
+def test_pi_panels_match_quarter_pi_panels_in_kappa(quarter_panels, kw):
+    ts = np.array([10.0, 1e3, 1e5, 1e7])
+    got = sp.kappa_gk_closed(ts, **kw)
+    want = quarter_panels(lambda: sp.kappa_gk_closed(ts, **kw))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d,b,n", [(1, 1.0, 500), (1, 0.0, 500),
+                                   (2, 1.0, 40), (3, 2.0, 12)])
+def test_zero_weight_row_is_skipped_without_changing_values(monkeypatch, d,
+                                                            b, n):
+    ts = np.array([0.5, 10.0, 1e3])
+    wts = sp._uniform_weights(2)
+    table = sp._uniform_table(d, b, 1.0, n)
+    assert wts[3] == 0.0  # the uncoupled components at dstar=2
+    c = sp.c_infty(ts, d, 2, b, 1.0, n=n)
+    assert np.array_equal(c, wts @ sp._assemble(table, sp._EXP, ts))
+    kap = sp.kappa_gk_closed(ts, d=d, b=b, n=n)
+    assert np.array_equal(
+        kap, wts @ sp._assemble(table, sp._WINDOW, ts) + 0.25)
+    # and the row's kernel is not evaluated: one grid call fewer, unless
+    # its z array is shared (at B=0 every row has z = -gamma omega2)
+    calls = []
+    full, smooth, tail = sp._WINDOW
+    monkeypatch.setattr(sp, "_WINDOW", (
+        lambda z, t: calls.append(1) or full(z, t), smooth, tail))
+    sp.kappa_gk_closed(ts, d=d, b=b, n=n)
+    skipping = len(calls)
+    sp._assemble(table, sp._WINDOW, ts)
+    assert skipping == len(calls) - skipping - (b != 0.0)
