@@ -12,8 +12,8 @@ array over a segment between events by one complex exp per mode, applies an
 exchange as a rank-one kick, and forms real space only at output times.
 Currents are accumulated pathwise.  The integral of the total current over
 a segment is exact in closed form; per-bond integrals (``track="bonds"``)
-use adaptive Gauss-Legendre quadrature along the exact flow, the only place
-quadrature is used.  Both are deferred: the event loop records each
+use adaptive Gauss-Kronrod (7,15) quadrature along the exact flow, the only
+place quadrature is used.  Both are deferred: the event loop records each
 segment's start amplitudes, start time and length, and integrates a bounded
 block of segments (``_BLOCK``) in one batched call, so the quadrature makes
 one real-space evaluation per depth of a block rather than one per panel.
@@ -107,17 +107,28 @@ class FourierBlock(_Exact):
         self._fac = np.empty((2,) + self._tab["iom"].shape, dtype=complex)
         self._grid = (spec.n,) * spec.d
         # exchanges: the integer wavevectors k (row-major; the same array
-        # holds the site coordinates) and e^{2πik_a/N} per direction, so that
-        # the phase row e^{2πik·x/N} of a site is one lookup in a root table
+        # holds the site coordinates), so that the phase row e^{2πik·x/N} of
+        # a site and its conjugate are one lookup each in a root table
         self._k = site_coords(spec)
         self._root = np.exp(2j * np.pi * np.arange(spec.n) / spec.n)
-        self._step = self._root[self._k.T]
-        self._step1 = self._step - 1.0
+        self._root_conj = self._root.conj()
+        step = self._root[self._k.T]          # e^{2πik_a/N}, (d, modes)
+        pair = np.stack([np.ones_like(step), step], axis=-1)
         V, Vinv = self._tab["V"], self._tab["Vinv"]
-        # per channel: the velocity rows of V, and the velocity column of
-        # Vinv, the amplitude kick of a unit kick to the velocity modes
-        self._xV = [(V[1, 0, c], V[1, 1, c]) for c in range(len(tabs))]
+        # per (channel, direction): the velocity rows of V times the columns
+        # [1, e^{2πik_a/N}], (2 modes, 2), whose product with a site's
+        # phase-shifted amplitudes gives (v_x, v_{x+e_a}) in one call
+        self._vpair = [[np.concatenate([V[1, 0, c, :, None] * p,
+                                        V[1, 1, c, :, None] * p])
+                        for p in pair] for c in range(len(tabs))]
+        # per channel: the velocity column of Vinv, the amplitude kick of a
+        # unit kick to the velocity modes
         self.vel_kick = [Vinv[:, 1, c] for c in range(len(tabs))]
+        # per (channel, direction): vel_kick conj(e^{2πik_a/N} - 1), the
+        # amplitude kick of a unit swap across a bond of the origin
+        self._kick = [[kick * (s - 1.0).conj() for s in step]
+                      for kick in self.vel_kick]
+        self._frame_rate = self.frame_rate.tolist()
         # total current J_a = Re sum_k w_a(k) F conj(W) per channel.  In
         # amplitudes F conj(W) is |c+|^2 V00 conj(V10) + |c-|^2 V01 conj(V11)
         # + c+ conj(c-) V00 conj(V11) + conj(c+ conj(c-)) V01 conj(V10), and
@@ -176,18 +187,20 @@ class FourierBlock(_Exact):
         c = max(j - 1, 0)               # components 0 and 1 share channel 0
         unit = 1j if j == 1 else 1.0    # component 1 is the imaginary part
         amp = amp[:, c]
-        V0, V1 = self._xV[c]
-        frame = cmath.exp(self.frame_rate[c] * t)
-        row = self._root[(self._k @ self._k[x]) % self.spec.n]
-        u = row * (V0 * amp[0] + V1 * amp[1])
-        scale = frame / (unit * row.size)
-        vx = (u.sum() * scale).real
-        vy = ((u @ self._step[a]) * scale).real
+        frame = cmath.exp(self._frame_rate[c] * t)
+        # the site's phase row e^{2πik·x/N} is root[phase]
+        phase = (self._k @ self._k[x]) % self.spec.n
+        u = self._root[phase] * amp
+        scale = frame / (unit * amp.shape[1])
+        sx, sy = (u.reshape(-1) @ self._vpair[c][a]).tolist()
+        vx, vy = (sx * scale).real, (sy * scale).real
         # v_x gains delta = vy - vx and v_{x+e_a} loses it, so W gains
-        # -delta * unit * conj(row (step - 1)); amplitudes are W / frame
-        dW = row * self._step1[a]
-        amp += self.vel_kick[c] * (dW.conj() * ((vx - vy) * unit / frame))
-        return float(0.5 * (vy * vy - vx * vx))
+        # -delta * unit * conj(row) conj(step - 1), the last factor in the
+        # kick table; amplitudes are W / frame
+        dW = self._root_conj[phase]
+        dW *= (vx - vy) * unit / frame
+        amp += self._kick[c][a] * dW
+        return 0.5 * (vy * vy - vx * vx)
 
     def current(self, amp) -> np.ndarray:
         """Total current per direction of the amplitudes amp: the integrand
@@ -379,16 +392,33 @@ def decode_triple(spec: LatticeSpec, trip: int):
 # ---------------------------------------------------------------------------
 # pathwise current quadrature
 
-_GL_X = 0.5 * (1.0 + np.array([-0.8611363115940526, -0.3399810435848563,
-                               0.3399810435848563, 0.8611363115940526]))
-_GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
-                        0.6521451548625461, 0.3478548451374538])
-# nodes of a 4-point panel on [0, 1] and of its two halves, and the weights
-# of the whole panel (row 0) and of the two halves together (row 1)
-_GL_NODES = np.concatenate([_GL_X, 0.5 * _GL_X, 0.5 + 0.5 * _GL_X])
-_GL_PANELS = np.zeros((2, 12))
-_GL_PANELS[0, :4] = _GL_W
-_GL_PANELS[1, 4:] = 0.5 * np.tile(_GL_W, 2)
+# Gauss-Kronrod (7,15) panel.  On [-1, 1] from 0 outwards: the Kronrod
+# nodes (every even-numbered one, 0 included, is a 7-point Gauss node), the
+# Kronrod weights and the Gauss weights (0 off the Gauss nodes).
+_XK = np.array([0.0, 0.207784955007898467600689403773245,
+                0.405845151377397166906606412076961,
+                0.586087235467691130294144845693013,
+                0.741531185599394439863864773280788,
+                0.864864423359769072789712788640926,
+                0.949107912342758524526189684047851,
+                0.991455371120812639206854697526329])
+_WK = np.array([0.209482141084727828012999174891714,
+                0.204432940075298892414161999234649,
+                0.190350578064785409913256402421014,
+                0.169004726639267902826583426598550,
+                0.140653259715525918745189590510238,
+                0.104790010322250183839876322541518,
+                0.063092092629978553290700663189204,
+                0.022935322010529224963732008058970])
+_WG = np.array([0.417959183673469387755102040816327, 0.0,
+                0.381830050505118944950369775488975, 0.0,
+                0.279705391489276667901467771423780, 0.0,
+                0.129484966168869693270611432679082, 0.0])
+# the 15 nodes on [0, 1] in ascending order, and the weights of the Gauss
+# rule (row 0) and of the Kronrod rule (row 1) on them
+_GK_NODES = 0.5 + 0.5 * np.concatenate([-_XK[:0:-1], _XK])
+_GK_PANELS = 0.5 * np.stack([np.concatenate([w[:0:-1], w])
+                             for w in (_WG, _WK)])
 _MAX_DEPTH = 14
 
 
@@ -397,23 +427,24 @@ def _adaptive_integral(f_batch, starts, lengths, tol: float):
     [starts[p], starts[p] + lengths[p]], all of them in one batch.
 
     ``f_batch(rows, taus)`` evaluates f on the segments ``rows`` (P,) at
-    the offsets ``taus`` (P, 12) from their starts and returns (P, 12, ...).
-    Every panel is certified by comparing one 4-point panel against its two
-    half-panels (all 12 nodes in one evaluation); a panel that misses its
-    tolerance splits in two, each half with half the tolerance, and all
-    panels of one depth are evaluated together.  The halves of a split panel
-    are added as a recursion would add them, so a segment's integral does
-    not depend on its batch mates.  Raises ``QuadratureError`` if a panel at
-    depth 14 still misses its share of the tolerance.
+    the offsets ``taus`` (P, 15) from their starts and returns (P, 15, ...).
+    A panel's integral is its 15-point Kronrod sum, certified by its
+    distance from the 7-point Gauss sum on the same nodes (one evaluation);
+    a panel that misses its tolerance splits in two, each half with half the
+    tolerance, and all panels of one depth are evaluated together.  The
+    halves of a split panel are added as a recursion would add them, so a
+    segment's integral does not depend on its batch mates.  Raises
+    ``QuadratureError`` if a panel at depth 14 still misses its share of
+    the tolerance.
     """
     b = np.asarray(lengths, dtype=float)
     a = np.zeros_like(b)
     rows = np.arange(len(b))
     levels = []
     for depth in range(_MAX_DEPTH + 1):
-        vals = f_batch(rows, a[:, None] + (b - a)[:, None] * _GL_NODES)
+        vals = f_batch(rows, a[:, None] + (b - a)[:, None] * _GK_NODES)
         est = (b - a)[:, None, None] * (
-            _GL_PANELS @ vals.reshape(len(rows), 12, -1))
+            _GK_PANELS @ vals.reshape(len(rows), _GK_NODES.size, -1))
         coarse, fine = est[:, 0], est[:, 1]
         err = np.abs(fine - coarse).max(axis=1)
         split = ~(err <= tol)
@@ -445,8 +476,8 @@ def _adaptive_integral(f_batch, starts, lengths, tol: float):
 # trajectories
 
 # bound on the node arrays of one block of deferred segment integrals, in
-# elements: a block holds _BLOCK // (nodes * amplitudes) segments, with 12
-# nodes a segment for track="bonds" and 1 for "total" (42 segments of the
+# elements: a block holds _BLOCK // (nodes * amplitudes) segments, with 15
+# nodes a segment for track="bonds" and 1 for "total" (34 segments of the
 # uniform N=8 chain's bonds).  Larger blocks save little more call overhead
 # and raise the peak memory.
 _BLOCK = 1 << 13
@@ -482,6 +513,9 @@ def _schedule(spec: LatticeSpec, t_end: float, dt_out: float, seed: int,
     applied and nothing is integrated past it.  Returns (output times,
     event times, event triples).
     """
+    for name, value in (("t_end", t_end), ("dt_out", dt_out)):
+        if not np.isfinite(value):
+            raise SpecError(f"{name} must be finite, got {value}")
     if t_end <= 0:
         raise SpecError("t_end must be > 0")
     if dt_out <= 0 or dt_out > t_end:
@@ -510,6 +544,8 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
                                              index)
     if backend is None:
         backend = make_backend(spec)
+    elif backend.spec != spec:
+        raise SpecError("backend was built for another spec than the state's")
     d, ns = spec.d, spec.nsites
     n_out, nev = len(out_times), len(ev_times)
 
@@ -528,7 +564,7 @@ def simulate(s0: PhaseState, t_end: float, dt_out: float, seed: int,
     # amplitudes, start time and length, and each full block, then the rest,
     # is integrated in one call.  Outputs wait for the block that ends them.
     # A run has at most nev + n_out segments; track="none" records none.
-    nodes = 12 if track == "bonds" else 1
+    nodes = _GK_NODES.size if track == "bonds" else 1
     cap = max(1, min(nev + n_out, _BLOCK // (nodes * amp.size)))
     cap = 0 if track == "none" else cap
     snaps = np.empty((cap,) + amp.shape, dtype=amp.dtype)
@@ -665,17 +701,27 @@ def save_trajectory(traj: Trajectory, path: str):
             fh.write(np.ascontiguousarray(arrays[k], dtype="<f8").tobytes())
 
 
+def _read(fh, size: int, path: str) -> bytes:
+    """The next size bytes of fh; SpecError naming path if it ends first."""
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise SpecError(f"{path}: truncated trajectory file")
+    return buf
+
+
 def load_trajectory(path: str) -> Trajectory:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise SpecError(f"{path}: not a trajectory file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen))
+        (hlen,) = struct.unpack("<I", _read(fh, 4, path))
+        header = json.loads(_read(fh, hlen, path))
         arrays = {}
         for name, shape in header["arrays"]:
             count = int(np.prod(shape))
             arrays[name] = np.frombuffer(
-                fh.read(8 * count), dtype="<f8").reshape(shape).copy()
+                _read(fh, 8 * count, path), dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise SpecError(f"{path}: bytes after the last array")
     spec = LatticeSpec.from_json(json.dumps(header["spec"]))
     return Trajectory(spec, header["seed"], header["index"],
                       header["t_end"], header["dt_out"], arrays["times"],

@@ -319,6 +319,22 @@ def test_sample_rejects_non_finite_parameters(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("flag,value,name", [
+    ("--t-end", "inf", "t_end"), ("--t-end", "nan", "t_end"),
+    ("--dt-out", "nan", "dt_out")])
+def test_simulate_rejects_non_finite_times_by_name(tmp_path, monkeypatch,
+                                                   capsys, flag, value, name):
+    # before, --t-end inf ended in an OverflowError traceback
+    monkeypatch.chdir(tmp_path)
+    code = run(["simulate", "--ensemble", "micro", flag, value,
+                "--out", "trajs"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == "SpecError"
+    assert err["message"].startswith(f"{name} must be finite")
+    assert not (tmp_path / "trajs" / "traj_00000.bin").exists()
+
+
 def test_thread_cap_is_set_before_numpy_loads():
     # record the pool variables at the moment numpy is first imported
     probe = """

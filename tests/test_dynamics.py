@@ -297,10 +297,10 @@ GL_WHOLE, GL_HALVES = 0.5 * _W, 0.25 * np.concatenate([_W, _W])
 
 
 def recursive_integral(f_batch, a, b, tol, depth=0):
-    """Reference for ``dy._adaptive_integral``: the certified quadrature of
-    a vector-valued f over one interval [a, b] as a recursion, one 4-point
-    panel against its two halves, splitting with half the tolerance down
-    to depth 14."""
+    """Independent reference quadrature, with a rule of its own: a
+    vector-valued f over one interval [a, b] as a recursion, one 4-point
+    Gauss-Legendre panel against its two halves, splitting with half the
+    tolerance down to depth 14."""
     h = b - a
     vals = f_batch(a + h * GL_NODES).reshape(12, -1)
     coarse = h * (GL_WHOLE @ vals[:4])
@@ -417,7 +417,7 @@ def test_simulate_does_not_depend_on_the_block_size(spec, monkeypatch):
     s0 = oracle_state(spec, 45)
     amps = dy.make_backend(spec).amplitudes(s0).size
     for track in ("none", "total", "bonds"):
-        seven = 7 * (12 if track == "bonds" else 1) * amps
+        seven = 7 * (dy._GK_NODES.size if track == "bonds" else 1) * amps
         runs = []
         for budget in (dy._BLOCK, 1, seven, 1 << 40):
             monkeypatch.setattr(dy, "_BLOCK", budget)
@@ -519,6 +519,64 @@ def test_quadrature_depth_cap_is_loud():
     assert np.abs(smooth[:, 0] - np.sin([2.0, 1.0])).max() < 1e-13
 
 
+def test_gauss_kronrod_panel_constants():
+    nodes, (gauss, kronrod) = dy._GK_NODES, dy._GK_PANELS
+    assert nodes.shape == (15,) and np.all(np.diff(nodes) > 0)
+    # the Gauss rule sits on 7 of the 15 nodes: leggauss(7) on [0, 1]
+    x, w = np.polynomial.legendre.leggauss(7)
+    on = gauss != 0
+    assert on.sum() == 7
+    assert np.abs(nodes[on] - 0.5 * (1.0 + x)).max() < 1e-15
+    assert np.abs(gauss[on] - 0.5 * w).max() < 1e-15
+    # exact on monomials up to degree 13 (Gauss) and 22 (Kronrod)
+    for rule, degree in ((gauss, 13), (kronrod, 22)):
+        for k in range(degree + 1):
+            assert abs(rule @ nodes ** k * (k + 1) - 1.0) < 1e-14
+    assert abs(gauss @ nodes ** 14 * 15 - 1.0) > 1e-9
+
+
+def recursive_gk(f_batch, a, b, tol, depth=0):
+    """The rule of ``dy._adaptive_integral`` as a recursion over one
+    interval [a, b]: the 15-point Kronrod sum, certified against the
+    7-point Gauss sum, splitting with half the tolerance down to depth
+    14."""
+    h = b - a
+    vals = f_batch(a + h * dy._GK_NODES).reshape(15, -1)
+    gauss, kronrod = h * (dy._GK_PANELS @ vals)
+    if np.abs(kronrod - gauss).max() <= tol:
+        return kronrod
+    if depth >= 14:
+        raise dy.QuadratureError(f"unconverged at depth {depth}")
+    m = 0.5 * (a + b)
+    return (recursive_gk(f_batch, a, m, 0.5 * tol, depth + 1)
+            + recursive_gk(f_batch, m, b, 0.5 * tol, depth + 1))
+
+
+@pytest.mark.parametrize("spec,kind", [(UNIFORM, "fourier"), (ALT, "dense"),
+                                       (D2, "fourier")])
+def test_batched_quadrature_matches_its_rule_as_a_recursion(spec, kind):
+    # bond currents from one snapshot per segment, over mixed lengths, the
+    # longest split several times
+    backend = BACKENDS[kind](spec)
+    amp = backend.amplitudes(oracle_state(spec, 48))
+    lengths = np.array([1e-3, 0.05, 0.3, 1.0, 2.5, 6.0])
+    starts = 0.2 * np.arange(len(lengths))
+    snaps = []
+    for _ in lengths:
+        snaps.append(amp.copy())
+        backend.advance(amp, 0.2)
+    snaps = np.array(snaps)
+
+    def f(rows, taus):
+        return bond_currents(spec, *backend.states(snaps[rows],
+                                                   starts[rows], taus))
+    got = dy._adaptive_integral(f, starts, lengths, 1e-13)
+    for p, (row, T) in enumerate(zip(got, lengths)):
+        ref = recursive_gk(lambda taus: f(np.array([p]), taus[None])[0],
+                           0.0, T, 1e-13).reshape(row.shape)
+        assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("spec", [spec for spec, kind in ORACLE_CASES
                                   if kind == "fourier"])
 def test_current_matches_total_current(spec):
@@ -534,6 +592,29 @@ def test_current_matches_total_current(spec):
         got = block.current(amp)
         assert got.shape == (spec.d,)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("spec", [D2, SCALAR, D3, DEFORM])
+def test_fourier_exchange_matches_apply_exchange(spec):
+    # every (component, direction), at sites that wrap around the lattice,
+    # at a time where the field's frame has turned
+    block = dy.FourierBlock(spec)
+    amp, t = block.amplitudes(oracle_state(spec, 49)), 0.37
+    block.advance(amp, t)
+    pos, vel = block.states(amp[None], np.array([t]), np.zeros((1, 1)))
+    state = PhaseState(spec, pos[0, 0], vel[0, 0], t)
+    for j in range(spec.dstar):
+        for a in range(spec.d):
+            for x in (0, 5, spec.nsites - 1):
+                kicked = amp.copy()
+                got = block.exchange(kicked, t, j, a, x)
+                ref, want = dy.apply_exchange(state, j, x, a)
+                assert abs(got - want) <= 1e-12
+                pos, vel = block.states(kicked[None], np.array([t]),
+                                        np.zeros((1, 1)))
+                assert np.abs(pos[0, 0] - ref.pos).max() <= 1e-12
+                assert np.abs(vel[0, 0] - ref.vel).max() <= 1e-12
+
 
 
 @pytest.mark.parametrize("spec,kind", [(UNIFORM, "fourier"), (ALT, "dense")])
@@ -561,6 +642,27 @@ def test_invalid_simulate_arguments():
         dy.simulate(s0, 1.0, 2.0, seed=0)
     with pytest.raises(Exception):
         dy.simulate(s0, 1.0, 0.5, seed=0, track="everything")
+
+
+@pytest.mark.parametrize("t_end,dt_out,name", [
+    (np.inf, 0.5, "t_end"), (np.nan, 0.5, "t_end"), (1.0, np.nan, "dt_out"),
+    (1.0, -np.inf, "dt_out")])
+def test_simulate_rejects_non_finite_times_by_name(t_end, dt_out, name):
+    # before, t_end = inf raised OverflowError and NaN a conversion error
+    s0 = micro_state(UNIFORM)
+    with pytest.raises(dy.SpecError, match=f"^{name} must be finite"):
+        dy.simulate(s0, t_end, dt_out, seed=0)
+    with pytest.raises(dy.SpecError, match=f"^{name} must be finite"):
+        dy.simulate_current_series(s0, t_end, dt_out, seed=0)
+
+
+def test_simulate_rejects_a_backend_of_another_spec():
+    # before, an N=16 backend on an N=8 state failed inside a reshape
+    s0 = micro_state(UNIFORM)
+    other = LatticeSpec(d=1, dstar=2, n=16, b=1.0, gamma=1.0)
+    for backend in (dy.FourierBlock(other), dy.DenseEigen(ALT)):
+        with pytest.raises(dy.SpecError, match="another spec"):
+            dy.simulate(s0, 1.0, 0.5, seed=0, backend=backend)
 
 
 def test_canonical_stationarity_moments():
@@ -677,3 +779,34 @@ def test_load_rejects_garbage(tmp_path):
     path.write_bytes(b"not a trajectory")
     with pytest.raises(Exception):
         dy.load_trajectory(str(path))
+
+
+@pytest.fixture(scope="module")
+def saved_bytes(tmp_path_factory):
+    traj = dy.simulate(micro_state(UNIFORM), 1.0, 0.5, seed=12,
+                       track="bonds")
+    path = tmp_path_factory.mktemp("traj") / "t.bin"
+    dy.save_trajectory(traj, str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("keep", [6, 40, -8, -1])
+def test_load_rejects_a_truncated_file(tmp_path, saved_bytes, keep):
+    # cut in the header length, the header, the last array, its last byte;
+    # before, a cut array raised numpy's buffer-size error
+    path = tmp_path / "cut.bin"
+    path.write_bytes(saved_bytes[:keep])
+    with pytest.raises(dy.SpecError, match="truncated") as err:
+        dy.load_trajectory(str(path))
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("extra", [1, 8])
+def test_load_rejects_bytes_after_the_last_array(tmp_path, saved_bytes,
+                                                 extra):
+    # before, they were ignored
+    path = tmp_path / "long.bin"
+    path.write_bytes(saved_bytes + bytes(extra))
+    with pytest.raises(dy.SpecError, match="after the last array") as err:
+        dy.load_trajectory(str(path))
+    assert str(path) in str(err.value)
