@@ -616,7 +616,6 @@ def test_fourier_exchange_matches_apply_exchange(spec):
                 assert np.abs(vel[0, 0] - ref.vel).max() <= 1e-12
 
 
-
 @pytest.mark.parametrize("spec,kind", [(UNIFORM, "fourier"), (ALT, "dense")])
 def test_simulate_long_horizon_conservation(spec, kind):
     # about 2e5 events at N=8 with the amplitudes carried throughout
