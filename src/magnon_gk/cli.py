@@ -103,7 +103,6 @@ def cmd_simulate(cfg: dict) -> int:
     from . import dynamics as dy
     spec = _spec_from_cfg(cfg)
     out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
     seed = int(cfg["seed"])
     n_traj = int(cfg["n_traj"])
     t_end = float(cfg["t_end"])
@@ -116,9 +115,12 @@ def cmd_simulate(cfg: dict) -> int:
         s0 = _initial_state(spec, cfg, seed, idx)
         traj = dy.simulate(s0, t_end, dt_out, seed, backend=backend,
                            index=idx, track=track)
+        # made once a run has passed its checks: a bad one leaves no folder
+        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"traj_{idx:05d}.bin")
         dy.save_trajectory(traj, path)
         meta["files"].append(os.path.basename(path))
+    os.makedirs(out_dir, exist_ok=True)   # n_traj = 0 writes only meta.json
     with open(os.path.join(out_dir, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
     print(f"wrote {n_traj} trajectories to {out_dir}")

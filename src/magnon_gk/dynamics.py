@@ -33,8 +33,9 @@ import numpy as np
 
 from . import _kernels as kn
 from .lattice import (LatticeSpec, PhaseState, QuadratureError, SpecError,
-                      bond_currents, flat_slice, neighbor_tables,
-                      site_coords, site_energies, site_index)
+                      bond_currents, flat_slice, lattice_fft,
+                      neighbor_tables, site_coords, site_energies,
+                      site_index)
 from .observables import drift_matrix, total_current_observable
 from .rng import stream
 
@@ -105,7 +106,6 @@ class FourierBlock(_Exact):
         self.frame_rate = np.array([-0.5j * b] + [0.0] * (len(tabs) - 1))
         # ``advance``'s scratch for e^{±iΩdt} per mode
         self._fac = np.empty((2,) + self._tab["iom"].shape, dtype=complex)
-        self._grid = (spec.n,) * spec.d
         # exchanges: the integer wavevectors k (row-major; the same array
         # holds the site coordinates), so that the phase row e^{2πik·x/N} of
         # a site and its conjugate are one lookup each in a root table
@@ -150,14 +150,6 @@ class FourierBlock(_Exact):
         self._still = iom2 == 0
         self._iom2 = np.where(self._still, 1.0, iom2)
 
-    def _lattice_fft(self, x, fft):
-        """``fft`` (np.fft.fft or ifft) over the lattice axes of x, whose
-        last axis runs over the sites or modes in row-major order."""
-        y = x.reshape(x.shape[:-1] + self._grid)
-        for ax in range(-self.spec.d, 0):
-            y = fft(y, axis=ax)
-        return y.reshape(x.shape)
-
     def amplitudes(self, state: PhaseState) -> np.ndarray:
         """Eigen-amplitudes (2, chan, modes) of a state, at time 0.
 
@@ -169,7 +161,7 @@ class FourierBlock(_Exact):
         if self.spec.dstar >= 2:
             fields = np.concatenate(
                 [fields[:, :1] + 1j * fields[:, 1:2], fields[:, 2:]], axis=1)
-        FW = self._lattice_fft(fields, np.fft.fft)
+        FW = lattice_fft(self.spec, fields)
         return (self._tab["Vinv"] * FW).sum(axis=1)
 
     def advance(self, amp, dt: float):
@@ -225,7 +217,7 @@ class FourierBlock(_Exact):
         FW += V[:, 1] * A1
         FW *= np.exp(self.frame_rate[:, None] * t)
         FW[0] += t * tab["shear"] * FW[1]
-        out = self._lattice_fft(FW, np.fft.ifft)
+        out = lattice_fft(self.spec, FW, np.fft.ifft)
         if self.spec.dstar >= 2:
             out = np.concatenate([out[..., :1, :].real, out[..., :1, :].imag,
                                   out[..., 1:, :].real], axis=-2)

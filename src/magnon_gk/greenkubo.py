@@ -66,16 +66,6 @@ def trajectory_current_series(traj, a: int = 0) -> np.ndarray:
     return bond_currents(traj.spec, traj.pos, traj.vel)[:, a].sum(axis=-1)
 
 
-def _as_series_list(trajectories, a):
-    out = []
-    for tr in trajectories:
-        if isinstance(tr, np.ndarray):
-            out.append(tr)
-        else:
-            out.append(trajectory_current_series(tr, a))
-    return out
-
-
 def estimate_correlation(trajectories, nsites: int, dt_out: float,
                          a: int = 0, estimator: str = "stationary",
                          max_lag: int | None = None) -> CorrelationSeries:
@@ -90,7 +80,8 @@ def estimate_correlation(trajectories, nsites: int, dt_out: float,
     """
     if estimator not in ("stationary", "initial"):
         raise SpecError(f"unknown estimator {estimator!r}")
-    series = _as_series_list(trajectories, a)
+    series = [tr if isinstance(tr, np.ndarray)
+              else trajectory_current_series(tr, a) for tr in trajectories]
     if not series:
         raise SpecError("empty trajectory ensemble")
     npts = len(series[0])
@@ -100,16 +91,15 @@ def estimate_correlation(trajectories, nsites: int, dt_out: float,
         max_lag = npts - 1
     if max_lag >= npts:
         raise SpecError("lag exceeds the trajectory horizon")
-    per = np.empty((len(series), max_lag + 1))
-    for i, js in enumerate(series):
-        if estimator == "initial":
-            per[i] = js[:max_lag + 1] * js[0]
-        else:
-            # full autocorrelation via FFT, then normalize per lag count
-            mfft = 1 << int(np.ceil(np.log2(2 * npts)))
-            fj = np.fft.rfft(js, mfft)
-            raw = np.fft.irfft(fj * np.conj(fj), mfft)[:max_lag + 1]
-            per[i] = raw / (npts - np.arange(max_lag + 1))
+    js = np.array(series, dtype=float)     # (trajectories, npts)
+    if estimator == "initial":
+        per = js[:, :max_lag + 1] * js[:, :1]
+    else:
+        # full autocorrelation via FFT, then normalize per lag count
+        mfft = 1 << int(np.ceil(np.log2(2 * npts)))
+        fj = np.fft.rfft(js, mfft)
+        raw = np.fft.irfft(fj * np.conj(fj), mfft)[:, :max_lag + 1]
+        per = raw / (npts - np.arange(max_lag + 1))
     per /= nsites
     mean, err = jackknife(per)
     return CorrelationSeries(
@@ -136,6 +126,9 @@ def estimate_kappa(trajectories, a: int = 0, b: int = 0, *,
         raise SpecError("empty trajectory ensemble")
     if (e is None) == (beta is None):
         raise SpecError("give exactly one of e (micro) or beta (canonical)")
+    for name, v in (("e", e), ("beta", beta)):
+        if v is not None and not 0 < v < np.inf:
+            raise SpecError(f"{name} must be finite and > 0, got {v}")
     spec, grid = trajs[0].spec, trajs[0].times
     _check_directions(spec, a, b)
     if any(tr.spec != spec or not np.array_equal(tr.times, grid)
@@ -144,12 +137,8 @@ def estimate_kappa(trajectories, a: int = 0, b: int = 0, *,
     times = grid[1:]
     if len(times) == 0:
         raise SpecError("no grid points after t=0")
-    prods = np.empty((len(trajs), len(times)))
-    for i, tr in enumerate(trajs):
-        ja = tr.det_current[1:, a]
-        jb = tr.det_current[1:, b]
-        prods[i] = ja * jb
-    mean, err = jackknife(prods)
+    det = np.array([tr.det_current[1:] for tr in trajs])  # (R, T, d)
+    mean, err = jackknife(det[..., a] * det[..., b])
     if e is not None:
         pref = 1.0 / (2.0 * spec.nsites * e * e * times)
     else:

@@ -1,4 +1,6 @@
-"""Lattice model description, states, energies, currents and coordinate maps.
+"""Lattice model description, states, energies and currents, and the
+helpers the other modules share: read-only caches (``frozen``) and the
+transform over the lattice axes (``lattice_fft``).
 
 A ``LatticeSpec`` describes a d-dimensional periodic lattice of side ``n``
 whose sites carry a position (or bond deformation) and a velocity in
@@ -17,7 +19,8 @@ frequency.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,6 +50,10 @@ class LatticeSpec:
     coords: str = "position"
 
     def __post_init__(self):
+        for name in ("d", "dstar", "n"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral):
+                raise SpecError(f"{name} must be an integer, got {v!r}")
         if self.d < 1:
             raise SpecError("d must be >= 1")
         if self.n < 3:
@@ -132,6 +139,22 @@ def site_index(spec: LatticeSpec, x) -> int:
     return idx
 
 
+def frozen(*arrays) -> tuple:
+    """The arrays, made read-only: cached results are shared by callers."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def lattice_fft(spec: LatticeSpec, x, fft=np.fft.fft):
+    """``fft`` (np.fft.fft or ifft) over the lattice axes of x, whose last
+    axis runs over the sites or modes of spec in row-major order."""
+    y = x.reshape(x.shape[:-1] + (spec.n,) * spec.d)
+    for ax in range(-spec.d, 0):
+        y = fft(y, axis=ax)
+    return y.reshape(x.shape)
+
+
 @lru_cache(maxsize=64)
 def _neighbor_tables_cached(n: int, d: int):
     shape = (n,) * d
@@ -141,9 +164,7 @@ def _neighbor_tables_cached(n: int, d: int):
     for a in range(d):
         plus[a] = np.roll(idx, -1, axis=a).ravel()
         minus[a] = np.roll(idx, 1, axis=a).ravel()
-    plus.setflags(write=False)
-    minus.setflags(write=False)
-    return plus, minus
+    return frozen(plus, minus)
 
 
 def neighbor_tables(spec: LatticeSpec):
@@ -158,8 +179,7 @@ def neighbor_tables(spec: LatticeSpec):
 @lru_cache(maxsize=64)
 def _site_coords_cached(n: int, d: int):
     coords = np.stack(np.unravel_index(np.arange(n ** d), (n,) * d), axis=-1)
-    coords.setflags(write=False)
-    return coords
+    return frozen(coords)[0]
 
 
 def site_coords(spec: LatticeSpec) -> np.ndarray:
@@ -288,32 +308,3 @@ def conserved_snapshot(state: PhaseState) -> ConservedSnapshot:
             snap.alt_invariants = np.array([inv1, inv2])
     return snap
 
-
-def q_to_r(qstate: PhaseState) -> PhaseState:
-    """Map positions to bond deformations r_x = q_{x+1} - q_x (d=1)."""
-    spec = qstate.spec
-    if spec.coords != "position" or spec.d != 1:
-        raise SpecError("q_to_r requires position coords and d=1")
-    rspec = replace(spec, coords="deformation")
-    r = np.roll(qstate.pos, -1, axis=1) - qstate.pos
-    return PhaseState(rspec, r, qstate.vel.copy(), qstate.time)
-
-
-def r_to_q(rstate: PhaseState) -> PhaseState:
-    """Inverse deformation map: q_x = -sum_{y=x}^{N} (r_y - rbar).
-
-    Sites are 1-based in the defining sum; with 0-based storage site ``x``
-    corresponds to label x+1, and the output satisfies
-    q_{x+1} - q_x = r_x - rbar and sum_x q_x = 0.
-    """
-    spec = rstate.spec
-    if spec.coords != "deformation":
-        raise SpecError("r_to_q requires deformation coords")
-    qspec = replace(spec, coords="position")
-    rc = rstate.pos - rstate.pos.mean(axis=1, keepdims=True)
-    # q (0-based x, i.e. label x+1) = -sum_{y >= x+1, 1-based} rc[y]
-    #   = -(suffix sum of rc starting at 0-based index x)
-    suffix = np.cumsum(rc[:, ::-1], axis=1)[:, ::-1]
-    q = -suffix
-    q -= q.mean(axis=1, keepdims=True)  # fix the free global shift: Σq = 0
-    return PhaseState(qspec, q, rstate.vel.copy(), rstate.time)

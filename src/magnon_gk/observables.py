@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import (LatticeSpec, PhaseState, SpecError, flat_slice,
-                      neighbor_tables)
+                      frozen, neighbor_tables)
 
 DENSE_CAP = 4096  # max dstar * N^d
 
@@ -165,12 +165,9 @@ def _swap_indices(spec: LatticeSpec):
     indices (i1, i2, i1, i2), (i1, i2, i2, i1) at which ``apply_swap_sum``
     scatters the e e^T terms; read-only, as they are shared."""
     i1, i2 = swap_pairs(spec).T
-    arrays = (i1.copy(), i2.copy(), np.arange(len(i1)),
-              np.concatenate([i1, i2, i1, i2]),
-              np.concatenate([i1, i2, i2, i1]))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    return frozen(i1.copy(), i2.copy(), np.arange(len(i1)),
+                  np.concatenate([i1, i2, i1, i2]),
+                  np.concatenate([i1, i2, i2, i1]))
 
 
 def apply_swap_sum(u: QuadraticObservable) -> QuadraticObservable:
@@ -204,8 +201,8 @@ def apply_generator(u: QuadraticObservable,
 def residual_norm(lam: float, u: QuadraticObservable,
                   rhs: QuadraticObservable, drift: np.ndarray) -> float:
     """Size of (lam - L)u - rhs: kernel Frobenius + linear + constant parts."""
-    if lam <= 0:
-        raise SpecError("lam must be > 0")
+    if not 0 < lam < np.inf:
+        raise SpecError(f"lam must be finite and > 0, got {lam}")
     res = lam * u - apply_generator(u, drift) - rhs
     return (float(np.linalg.norm(res.kernel))
             + float(np.linalg.norm(res.linear)) + abs(res.constant))

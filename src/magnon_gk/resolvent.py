@@ -15,7 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .lattice import LatticeSpec, SpecError, flat_slice, omega2, site_coords
+from .lattice import (LatticeSpec, SpecError, flat_slice, lattice_fft,
+                      omega2, site_coords)
 from .observables import (
     QuadraticObservable, drift_matrix, field_generator_matrix,
     harmonic_drift_matrix, residual_norm, total_current_observable,
@@ -106,24 +107,18 @@ def hhat_alternate(theta, lam: float, b: float, gamma: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# real-space kernels at the lattice wavenumbers xi/N
-
-def _real_space(spec: LatticeSpec, ghat: np.ndarray) -> np.ndarray:
-    """Inverse lattice transform of values at the wavenumbers
-    ``site_coords(spec) / n``, flattened row-major."""
-    return np.fft.ifftn(ghat.reshape((spec.n,) * spec.d)).real.ravel()
-
+# real-space kernels at the lattice wavenumbers xi/N, flattened row-major
 
 def scalar_kernel(spec: LatticeSpec, lam: float) -> np.ndarray:
-    """Real-space antisymmetric kernel g on the lattice, flattened row-major."""
+    """Real-space antisymmetric kernel g on the lattice."""
     ghat = ghat_scalar(site_coords(spec) / spec.n, lam, spec.gamma)
-    return _real_space(spec, ghat)
+    return lattice_fft(spec, ghat, np.fft.ifft).real
 
 
 def uniform_kernels(spec: LatticeSpec, lam: float) -> list[np.ndarray]:
     """Real-space kernels (g^1, g^2, g^3, g^4) of the coupled plane."""
     ghat = ghat_uniform(site_coords(spec) / spec.n, lam, spec.b, spec.gamma)
-    return [_real_space(spec, ghat[:, i]) for i in range(4)]
+    return list(lattice_fft(spec, ghat.T, np.fft.ifft).real)
 
 
 def alternate_kernels(n: int, lam: float, b: float,
@@ -156,8 +151,8 @@ def position_observable(spec: LatticeSpec, lam: float) -> QuadraticObservable:
     the same size; the charge pattern and field of ``spec`` select the
     kernels.
     """
-    if lam <= 0:
-        raise SpecError("lam must be > 0")
+    if not 0 < lam < np.inf:
+        raise SpecError(f"lam must be finite and > 0, got {lam}")
     u = QuadraticObservable.zeros(replace(spec, coords="position",
                                           charge="uniform", b=0.0))
     ds = spec.dstar

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import (LatticeSpec, PhaseState, SpecError, omega2,
+from .lattice import (LatticeSpec, PhaseState, SpecError, frozen, omega2,
                       site_coords, site_index)
 
 _SQRT2 = np.sqrt(2.0)
@@ -50,11 +50,8 @@ def _mode_tables(spec: LatticeSpec):
     neg = np.ravel_multi_index(np.moveaxis(-coords % n, -1, 0),
                                (n,) * spec.d)
     pairs = idx[(idx < neg)]
-    tables = (pairs, neg[pairs], idx[(idx == neg) & (idx != 0)],
-              np.sqrt(omega2(coords / n)))
-    for a in tables:
-        a.setflags(write=False)
-    return tables
+    return frozen(pairs, neg[pairs], idx[(idx == neg) & (idx != 0)],
+                  np.sqrt(omega2(coords / n)))
 
 
 def sphere_dimension(spec: LatticeSpec) -> int:
@@ -143,11 +140,6 @@ def sample_canonical(spec: LatticeSpec, beta: float, tau=None,
 # ---------------------------------------------------------------------------
 # exact sphere moments
 
-def _sphere_pair(a: np.ndarray, b: np.ndarray, r2: float, m: int) -> float:
-    """E[(a.x)(b.x)] under the uniform measure on the radius-sqrt(r2) sphere."""
-    return float(r2 / m * (a @ b))
-
-
 def _sphere_quartic(a, b, c, d, r2: float, m: int) -> float:
     """E[(a.x)(b.x)(c.x)(d.x)] on the sphere (isotropy + exchangeability)."""
     coef = r2 * r2 / (m * (m + 2))
@@ -211,7 +203,7 @@ def microcanonical_moments(spec: LatticeSpec, e: float, x=None) -> dict:
     qe = _coefficient_vector(spec, "q", 0, e1)
     qme = _coefficient_vector(spec, "q", 0, -e1)
     return {
-        "v2": _sphere_pair(v0, v0, r2, m),
+        "v2": float(r2 / m * (v0 @ v0)),   # isotropy: r2 |v0|^2 / m
         "v4": _sphere_quartic(v0, v0, v0, v0, r2, m),
         "v2v2": _sphere_quartic(v0, v0, vx, vx, r2, m),
         "qqvv": _sphere_quartic(qx - qmx, qe - qme, v0, v0, r2, m),

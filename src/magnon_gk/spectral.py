@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import QuadratureError, omega2
+from .lattice import QuadratureError, frozen, omega2
 
 
 class ComplexRootRegime(RuntimeError):
@@ -54,17 +54,10 @@ class ComplexRootRegime(RuntimeError):
 # quadrature grids
 
 
-def _frozen(*arrays) -> tuple:
-    """The arrays, made read-only: cached results are shared by callers."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1]."""
-    return _frozen(*np.polynomial.legendre.leggauss(n))
+    return frozen(*np.polynomial.legendre.leggauss(n))
 
 
 @functools.lru_cache(maxsize=64)
@@ -75,7 +68,7 @@ def _axis_nodes(n: int, scale: float):
     wu = 0.5 * w
     theta = scale * u ** 3
     wt = wu * scale * 3 * u ** 2
-    return _frozen(theta, wt)
+    return frozen(theta, wt)
 
 
 @functools.lru_cache(maxsize=32)
@@ -107,7 +100,7 @@ def _tensor_grid(d: int, n: int):
     pts = np.concatenate([np.repeat(t1, len(tail))[:, None],
                           np.tile(t1[tail], (n, 1))], axis=1)
     wts = np.outer(w1, tail_w).ravel()
-    return _frozen(pts, wts * (2.0 ** d))
+    return frozen(pts, wts * (2.0 ** d))
 
 
 def _integrate_sym(fvec, d: int, n: int) -> float:
@@ -186,8 +179,7 @@ def _pq_ratio(lam: float, om2: np.ndarray, b: float, gamma: float):
 def laplace_micro(lam: float, d: int, dstar: int, b: float, gamma: float,
                   e: float, n: int = 400, tol: float | None = 1e-8) -> float:
     """Laplace transform of the infinite-volume current autocorrelation."""
-    _check_args(b, gamma, lam, "lam")
-    _check_dims(d, dstar, b)
+    _check_args(b, gamma, lam, "lam", d=d, dstar=dstar, e=e)
 
     def val(nn):
         def f(pts):
@@ -223,10 +215,14 @@ def _rs_ratio(lam: float, theta: np.ndarray, b: float, gamma: float):
 
 
 def _check_args(b: float, gamma: float, t, name: str = "t",
-                zero_ok: bool = False):
+                zero_ok: bool = False, d: int = 1, dstar: int = 2,
+                **scales):
     """Reject a field b that is not finite, a noise rate gamma that is not
     finite and > 0, and a time (or Laplace variable) that is not finite or
-    is below its range; an array t is rejected if any of its elements is."""
+    is below its range (an array t if any of its elements is); then what
+    ``LatticeSpec`` rejects, a d or dstar that is not an integer >= 1 and a
+    field b != 0 with dstar < 2; then any of the ``scales`` (e, beta) that
+    is not finite and > 0."""
     if not np.isfinite(b):
         raise ValueError(f"b must be finite, got {b}")
     if not 0.0 < gamma < np.inf:
@@ -236,16 +232,14 @@ def _check_args(b: float, gamma: float, t, name: str = "t",
     if bad.any():
         raise ValueError(f"{name} must be finite and "
                          f"{'>=' if zero_ok else '>'} 0, got {ts[bad][0]}")
-
-
-def _check_dims(d: int, dstar: int = 2, b: float = 0.0):
-    """Reject what ``LatticeSpec`` rejects: a d or dstar that is not an
-    integer >= 1, and a field b != 0 with dstar < 2."""
-    for name, v in (("d", d), ("dstar", dstar)):
+    for key, v in (("d", d), ("dstar", dstar)):
         if not (isinstance(v, numbers.Integral) and v >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+            raise ValueError(f"{key} must be an integer >= 1, got {v!r}")
     if b != 0.0 and dstar < 2:
         raise ValueError(f"dstar must be >= 2 when b != 0, got {dstar}")
+    for key, v in scales.items():
+        if not 0.0 < v < np.inf:
+            raise ValueError(f"{key} must be finite and > 0, got {v}")
 
 
 def _check_variant(variant: str):
@@ -257,7 +251,7 @@ def laplace_canonical(lam: float, variant: str, b: float, gamma: float,
                       beta: float, n: int = 400,
                       tol: float | None = 1e-8) -> float:
     """Laplace transform of the canonical current autocorrelation."""
-    _check_args(b, gamma, lam, "lam")
+    _check_args(b, gamma, lam, "lam", beta=beta)
     _check_variant(variant)
     if variant != "ii":
         return laplace_micro(lam, 1, 2, b if variant == "i" else 0.0, gamma,
@@ -409,14 +403,13 @@ def _cubic_roots(theta, b, gamma):
             roots = roots - np.where(np.abs(fp) > 0, f / fp, 0 * f)
         roots = np.sort(roots, axis=0)[::-1]
         return roots, False
-    # complex-root regime: per-point companion solve in double precision
-    roots = np.empty((3,) + m, dtype=_CLD)
-    flat2, flat1, flat0 = c2a.ravel(), c1a.ravel(), c0a.ravel()
-    out = roots.reshape(3, -1)
-    for i in range(flat2.size):
-        r = np.roots([1.0, float(flat2[i]), float(flat1[i]), float(flat0[i])])
-        out[:, i] = np.sort_complex(r)[::-1]
-    return roots, True
+    # complex-root regime: the eigenvalues of the companion matrices in
+    # double precision, what np.roots computes one point at a time
+    comp = np.zeros(m + (3, 3))
+    comp[..., 0, :] = -np.stack([c2a, c1a, c0a], axis=-1)
+    comp[..., 1, 0] = comp[..., 2, 1] = 1.0
+    roots = np.sort_complex(np.linalg.eigvals(comp))[..., ::-1]
+    return np.moveaxis(roots, -1, 0).astype(_CLD), True
 
 
 def _alt_partial_fractions(theta, b, gamma):
@@ -489,7 +482,7 @@ def _phase_profile(panel: Callable, hi: float, refine: int) -> tuple:
     grid that holds every point of ``_panel_nodes``' coarse grid over
     [0, hi]: where the cut-off is hi the interpolant is exact there."""
     th = np.linspace(0.0, hi, refine * _COARSE + 1)
-    return _frozen(th, sum(np.abs(zk.imag) for zk in panel(th)[1]))
+    return frozen(th, sum(np.abs(zk.imag) for zk in panel(th)[1]))
 
 
 def _uniform_rows(pts, b: float, gamma: float, panel: bool = False):
@@ -520,11 +513,11 @@ def _uniform_table(d: int, b: float, gamma: float, n: int) -> _Table:
     pts, wts = _tensor_grid(d, n)
     c, z = _uniform_rows(pts, b, gamma)
     if d != 1 or b == 0.0:
-        return _Table(_frozen(*c), _frozen(*z), wts)
+        return _Table(frozen(*c), frozen(*z), wts)
 
     def panel(th):
         return _uniform_rows(th[:, None], b, gamma, panel=True)
-    return _Table(_frozen(*c), _frozen(*z), wts, n_panel=1, panel=panel,
+    return _Table(frozen(*c), frozen(*z), wts, n_panel=1, panel=panel,
                   cut=lambda t: _damping_cutoff(gamma, t), fold=2.0,
                   profile=_phase_profile(panel, 0.5, 16))
 
@@ -563,8 +556,8 @@ def _alternate_table(b: float, gamma: float, n: int) -> _Table:
     if gamma > 1.0:
         m = 4 * n
         c, z = _alternate_rows((np.arange(m) + 0.5) / m * 0.25, b, gamma)
-        wts, = _frozen(np.full(m, 0.25 / m))
-        return _Table(_frozen(*c), _frozen(*z), wts)
+        wts, = frozen(np.full(m, 0.25 / m))
+        return _Table(frozen(*c), frozen(*z), wts)
     th, wts = _axis_nodes(n, 0.25)
     c, z = _alternate_rows(th, b, gamma)
 
@@ -573,7 +566,7 @@ def _alternate_table(b: float, gamma: float, n: int) -> _Table:
     # the oscillating rows carry an exact e^{-2 gamma t}: once that
     # underflows their panel part is dropped.  The cut-off is 1/4 or 0, so
     # the profile needs only the coarse grid.
-    return _Table(_frozen(*c), _frozen(*z), wts, n_panel=2, panel=panel,
+    return _Table(frozen(*c), frozen(*z), wts, n_panel=2, panel=panel,
                   cut=lambda t: 0.25 if 2.0 * gamma * t < 500.0 else 0.0,
                   profile=_phase_profile(panel, 0.25, 1))
 
@@ -666,8 +659,7 @@ def c_components(t, d: int, b: float, gamma: float, n: int = 500):
     term.  At B=0, c1 = 0 and c2 = c3 = c4/2.  Each has the shape of t (a
     scalar or an array of times).
     """
-    _check_args(b, gamma, t, zero_ok=True)
-    _check_dims(d)
+    _check_args(b, gamma, t, zero_ok=True, d=d)
     rows = _assemble(_uniform_table(d, b, gamma, n), _EXP, t)
     return tuple(_shaped(r, t) for r in rows)
 
@@ -681,8 +673,7 @@ def c_infty(t, d: int = 1, dstar: int = 2, b: float = 1.0,
             gamma: float = 1.0, e: float = 1.0, n: int = 500):
     """Infinite-volume current autocorrelation assembled from components;
     a float for scalar t, an array of t's shape for an array."""
-    _check_args(b, gamma, t, zero_ok=True)
-    _check_dims(d, dstar, b)
+    _check_args(b, gamma, t, zero_ok=True, d=d, dstar=dstar, e=e)
     wts = _uniform_weights(dstar)
     rows = _assemble(_uniform_table(d, b, gamma, n), _EXP, t, wts)
     return _shaped(e * e * (wts @ rows), t)
@@ -692,7 +683,7 @@ def d_closed(t, variant: str, b: float, gamma: float, beta: float,
              n: int = 500):
     """Closed-form canonical current autocorrelation at time t (a scalar or
     an array of times, as ``c_infty``)."""
-    _check_args(b, gamma, t, zero_ok=True)
+    _check_args(b, gamma, t, zero_ok=True, beta=beta)
     _check_variant(variant)
     if variant != "ii" or b == 0.0:
         return c_infty(t, 1, 2, b if variant != "0" else 0.0, gamma,
@@ -713,10 +704,9 @@ def kappa_gk_closed(t, *, kind: str = "micro", d: int = 1,
     quadrature is numerical.  t is a scalar (the result is a float) or an
     array of times evaluated in one pass (the result has its shape).
     """
-    _check_args(b, gamma, t)
+    _check_args(b, gamma, t, d=d, dstar=dstar)
     if kind not in ("micro", "canonical"):
         raise ValueError("kind must be 'micro' or 'canonical'")
-    _check_dims(d, dstar, b)
     if kind == "canonical":
         _check_variant(variant)
         if (d, dstar) != (1, 2):

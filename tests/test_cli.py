@@ -333,6 +333,7 @@ def test_simulate_rejects_non_finite_times_by_name(tmp_path, monkeypatch,
     assert err["code"] == "SpecError"
     assert err["message"].startswith(f"{name} must be finite")
     assert not (tmp_path / "trajs" / "traj_00000.bin").exists()
+    assert not (tmp_path / "trajs").exists()
 
 
 def test_thread_cap_is_set_before_numpy_loads():

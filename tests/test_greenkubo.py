@@ -144,6 +144,52 @@ def test_kappa_requires_exactly_one_ensemble():
         gk.estimate_kappa([], e=1.0)
 
 
+@pytest.mark.parametrize("kw", [
+    {"e": 0.0}, {"e": -1.0}, {"e": np.nan}, {"e": np.inf},
+    {"beta": 0.0}, {"beta": -1.0}, {"beta": np.nan}, {"beta": np.inf}],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_kappa_rejects_bad_energy_and_temperature(kw):
+    # e=0 divided by zero, e=-1 gave the e=1 values, beta=0 gave zeros and
+    # beta=nan failed with "stderr must be finite"
+    spec = LatticeSpec(d=1, dstar=2, n=8, b=1.0, gamma=1.0)
+    times = np.arange(3) * 0.5
+    trajs = [_fake_traj(spec, times, np.ones((3, 1)))]
+    name = next(iter(kw))
+    with pytest.raises(SpecError, match=f"^{name} must be finite and > 0"):
+        gk.estimate_kappa(trajs, **kw)
+
+
+def test_estimators_match_a_loop_over_trajectories_bitwise():
+    # the stacked estimators do per trajectory what this loop does
+    spec = LatticeSpec(d=2, dstar=2, n=4, b=1.0, gamma=1.0)
+    trajs = []
+    for idx in range(4):
+        s0 = sample_microcanonical(spec, 1.0, stream(70, "init", idx))
+        trajs.append(dy.simulate(s0, 1.0, 0.125, seed=70, index=idx))
+    series = [gk.trajectory_current_series(tr, 1) for tr in trajs]
+    npts, lag = len(series[0]), 5
+    mfft = 1 << int(np.ceil(np.log2(2 * npts)))
+    stat, init = [], []
+    for js in series:
+        fj = np.fft.rfft(js, mfft)
+        raw = np.fft.irfft(fj * np.conj(fj), mfft)[:lag + 1]
+        stat.append(raw / (npts - np.arange(lag + 1)) / spec.nsites)
+        init.append(js[:lag + 1] * js[0] / spec.nsites)
+    for estimator, per in (("stationary", stat), ("initial", init)):
+        want = gk.jackknife(np.array(per))
+        for given in (trajs, series):
+            got = gk.estimate_correlation(given, spec.nsites, 0.125, a=1,
+                                          estimator=estimator, max_lag=lag)
+            assert np.array_equal(got.values, want[0])
+            assert np.array_equal(got.stderr, want[1])
+    prods = [tr.det_current[1:, 0] * tr.det_current[1:, 1] for tr in trajs]
+    mean, err = gk.jackknife(np.array(prods))
+    pref = 1.0 / (2.0 * spec.nsites * 1.0 * 1.0 * trajs[0].times[1:])
+    got = gk.estimate_kappa(trajs, a=0, b=1, e=1.0)
+    assert np.array_equal(got.values, pref * mean)
+    assert np.array_equal(got.stderr, pref * err)
+
+
 def test_kappa_small_time_approaches_noise_constant():
     # micro ensemble, small t: kappa(t) ~ gamma/(2 dstar) + O(t)
     spec = LatticeSpec(d=1, dstar=2, n=16, b=1.0, gamma=1.0)

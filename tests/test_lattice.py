@@ -3,7 +3,7 @@ import pytest
 
 from magnon_gk.lattice import (
     LatticeSpec, PhaseState, SpecError, conserved_snapshot, currents_all,
-    neighbor_tables, q_to_r, r_to_q, site_coords, site_energies, site_index,
+    neighbor_tables, site_coords, site_energies, site_index,
     total_current, total_energy, zero_state,
 )
 
@@ -137,56 +137,6 @@ def test_alternate_invariants_fields():
     assert snap.total_deformation is not None
 
 
-def test_q_to_r_direct_difference():
-    spec = LatticeSpec(d=1, dstar=2, n=4, b=0.0, gamma=1.0)
-    s = zero_state(spec)
-    s.pos[0] = [0.0, 1.0, 0.0, 0.0]
-    r = q_to_r(s)
-    assert np.allclose(r.pos[0], [1.0, -1.0, 0.0, 0.0])
-    assert abs(np.sum(r.pos)) < 1e-14
-
-
-def test_r_to_q_defining_identity():
-    spec = LatticeSpec(d=1, dstar=2, n=4, b=1.0, gamma=1.0,
-                       coords="deformation")
-    s = zero_state(spec)
-    s.pos[0] = [1.0, 0.0, 0.0, 0.0]
-    q = r_to_q(s)
-    rbar = 0.25
-    for x in range(3):
-        assert q.pos[0, x + 1] - q.pos[0, x] == pytest.approx(
-            s.pos[0, x] - rbar)
-    assert abs(np.sum(q.pos[0])) < 1e-12
-
-
-def test_r_to_q_constant_deformation_gives_zero():
-    spec = LatticeSpec(d=1, dstar=2, n=5, b=1.0, gamma=1.0,
-                       coords="deformation")
-    s = zero_state(spec)
-    s.pos[:] = 0.37
-    assert np.allclose(r_to_q(s).pos, 0.0)
-
-
-def test_round_trip_r_q_r():
-    spec = LatticeSpec(d=1, dstar=2, n=8, b=1.0, gamma=0.5,
-                       coords="deformation")
-    rng = np.random.default_rng(21)
-    s = random_state(spec, rng)
-    back = q_to_r(r_to_q(s))
-    rbar = s.pos.mean(axis=1, keepdims=True)
-    assert np.allclose(back.pos, s.pos - rbar, atol=1e-12)
-
-
-def test_round_trip_q_r_q():
-    spec = LatticeSpec(d=1, dstar=2, n=8, b=1.0, gamma=0.5)
-    rng = np.random.default_rng(22)
-    s = random_state(spec, rng)
-    s.pos -= s.pos.mean(axis=1, keepdims=True)
-    back = r_to_q(q_to_r(s))
-    # same centered configuration up to the global shift already removed
-    assert np.allclose(back.pos, s.pos, atol=1e-12)
-
-
 def test_flatten_round_trip():
     spec = LatticeSpec(d=2, dstar=2, n=4, b=1.0, gamma=1.0)
     rng = np.random.default_rng(1)
@@ -227,6 +177,18 @@ def test_site_index_row_major():
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(SpecError):
         LatticeSpec(**kwargs)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("d", 1.5), ("dstar", 2.0), ("n", 8.5), ("n", 8.0), ("d", "1")])
+def test_sizes_must_be_integers(field, value):
+    # d=1.5 gave nsites 22.6; n=8.5 and dstar=2.0 were accepted
+    kwargs = dict(d=1, dstar=2, n=8, b=1.0, gamma=1.0)
+    kwargs[field] = value
+    with pytest.raises(SpecError, match=f"^{field} must be an integer"):
+        LatticeSpec(**kwargs)
+    kwargs[field] = np.int64(int(float(value)))   # numpy integers are fine
+    assert LatticeSpec(**kwargs).nsites == kwargs["n"] ** kwargs["d"]
 
 
 def test_stored_zero_charge_points_to_b0():

@@ -219,6 +219,15 @@ def test_residual_norm_rejects_nonpositive_lambda():
         residual_norm(0.0, zero, zero, drift_matrix(spec))
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_residual_norm_rejects_a_non_finite_lambda(lam):
+    # inf printed RuntimeWarnings and returned nan
+    spec = SPECS[0]
+    zero = QuadraticObservable.zeros(spec)
+    with pytest.raises(SpecError, match="^lam must be finite"):
+        residual_norm(lam, zero, zero, drift_matrix(spec))
+
+
 def test_total_current_observable_matches_pointwise_sum():
     from magnon_gk.lattice import total_current
     rng = np.random.default_rng(31)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magnon_gk.lattice import LatticeSpec
+from magnon_gk.lattice import LatticeSpec, SpecError
 from magnon_gk import resolvent as rv
 from magnon_gk.observables import (
     bond_current_observable, gaussian_pair_expectation,
@@ -226,6 +226,13 @@ def test_run_certification_has_no_repeated_case():
     cases = rv.run_certification(n=4)["cases"]
     keys = {(c["spec"], c["lambda"]) for c in cases}
     assert len(keys) == len(cases)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+def test_position_observable_rejects_lambda_by_name(lam):
+    # nan ended in "SingularKernelError: Singular matrix"
+    with pytest.raises(SpecError, match="^lam must be finite and > 0"):
+        rv.position_observable(LatticeSpec(**DEF, b=1.0, gamma=1.0), lam)
 
 
 def test_certify_reduction_rejects_position_coords():

@@ -7,8 +7,9 @@ from scipy.special import ive
 
 from magnon_gk import spectral as sp
 from magnon_gk._kernels import eigen_tables
-from magnon_gk.lattice import LatticeSpec, omega2
+from magnon_gk.lattice import LatticeSpec, neighbor_tables, omega2
 from magnon_gk.observables import _swap_indices
+from magnon_gk.sampling import _mode_tables
 
 
 def test_omega2_values():
@@ -365,6 +366,22 @@ def test_cubic_root_ordering_chain():
         assert np.all(r[2] < -bt2 - 1)
 
 
+@pytest.mark.parametrize("g", [1.2, 1.5, 3.0])
+def test_complex_cubic_roots_match_np_roots_per_point(g):
+    # the batched companion eigenvalues are what np.roots finds point by
+    # point, bit for bit
+    b = 1.0
+    th = np.concatenate([[1e-6], (np.arange(400) + 0.5) / 400 * 0.25])
+    th = th.astype(np.longdouble)
+    roots, is_complex = sp._cubic_roots(th, b, g)
+    assert is_complex and roots.dtype == np.clongdouble
+    c2, c1, c0 = sp._cubic_T_coeffs(th, b, g)
+    want = np.array([np.sort_complex(np.roots(
+        [1.0, float(c2[i]), float(c1[i]), float(c0[i])]))[::-1]
+        for i in range(len(th))]).T
+    assert np.array_equal(roots, want.astype(np.clongdouble))
+
+
 def test_cubic_small_theta_limits():
     b, g = 1.0, 0.7
     roots, s, rU1, rU2, _ = sp._alt_partial_fractions(np.array([1e-4]), b, g)
@@ -430,7 +447,10 @@ def test_cached_tables_are_read_only(table):
               *sp._tensor_grid(3, 6),
               *sp._axis_nodes(40, 0.25), *sp._gauss_legendre(10),
               *_swap_indices(LatticeSpec(d=2, dstar=3, n=4, b=1.0,
-                                         gamma=1.0))]
+                                         gamma=1.0)),
+              *_mode_tables(LatticeSpec(d=2, dstar=2, n=6, b=1.0, gamma=1.0)),
+              *neighbor_tables(LatticeSpec(d=2, dstar=2, n=5, b=1.0,
+                                           gamma=1.0))]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -631,6 +651,23 @@ def test_closed_forms_reject_bad_rate_and_time(call, gamma, t):
 def test_closed_forms_reject_a_non_finite_field(call, b):
     with pytest.raises(ValueError, match="^b must be finite"):
         call(b)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("name,call", [
+    ("beta", lambda x: sp.d_closed(1.0, "i", 1.0, 1.0, x)),
+    ("beta", lambda x: sp.d_closed(1.0, "ii", 1.0, 0.5, x)),
+    ("beta", lambda x: sp.laplace_canonical(0.5, "i", 1.0, 1.0, x, n=8)),
+    ("beta", lambda x: sp.laplace_canonical(0.5, "ii", 1.0, 1.0, x, n=8)),
+    ("e", lambda x: sp.c_infty(1.0, 1, 2, 1.0, 1.0, x)),
+    ("e", lambda x: sp.laplace_micro(0.5, 1, 2, 1.0, 1.0, x, n=8))],
+    ids=["d_closed-i", "d_closed-ii", "laplace_canonical-i",
+         "laplace_canonical-ii", "c_infty", "laplace_micro"])
+def test_closed_forms_reject_bad_energy_and_temperature(name, call, bad):
+    # beta=-1 gave the beta=1 value and beta=0 a ZeroDivisionError; e=-1
+    # gave the e=1 value
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        call(bad)
 
 
 @pytest.mark.parametrize("call", [
